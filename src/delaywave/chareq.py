@@ -97,6 +97,11 @@ class Rational:
         return f"{self.num}/{self.den}"
 
 
+def _reproduces(rat: Rational, x: float) -> bool:
+    """Whether ``rat`` stands for the float ``x``: within 4 ulp of it."""
+    return abs(rat.value - x) <= 4.0 * math.ulp(max(1.0, abs(x)))
+
+
 def rational_from_float(x: float, max_den: int = 10**6) -> Optional[Rational]:
     """Small-denominator rational reproducing ``x`` to a few ulps, or None.
 
@@ -107,9 +112,8 @@ def rational_from_float(x: float, max_den: int = 10**6) -> Optional[Rational]:
     if not math.isfinite(x):
         return None
     frac = Fraction(x).limit_denominator(max_den)
-    if abs(frac.numerator / frac.denominator - x) <= 4.0 * math.ulp(max(1.0, abs(x))):
-        return Rational(frac.numerator, frac.denominator)
-    return None
+    rat = Rational(frac.numerator, frac.denominator)
+    return rat if _reproduces(rat, x) else None
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,8 @@ class DelaySystem:
     def __post_init__(self):
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
-        if self.tau_rational is not None and self.tau_rational.value != self.tau:
-            raise ValueError("tau_rational does not reproduce tau exactly")
+        if self.tau_rational is not None and not _reproduces(self.tau_rational, self.tau):
+            raise ValueError("tau_rational does not reproduce tau to 4 ulp")
         if self.kind is CharKind.CASCADE_EQUAL_GAINS and self.gains.c1 != self.gains.c2:
             raise ValueError("equal-gain variant requires c1 == c2")
         if self.kind is CharKind.DIRECT_DELAY_FEEDBACK and self.gains.c1 != 0.0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -47,11 +48,45 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _arg(convert, ok, expected: str, hint: str = ""):
+    """argparse type: ``convert(text)`` if that succeeds and passes ``ok``,
+    else a usage error (exit 1) naming what was ``expected``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}{hint}")
+        return value
+
+    return parse
+
+
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _delay(hint: str):
+    return _arg(Rational.from_string, lambda r: r.num > 0, "a positive rational delay M/N", hint)
+
+
+_POSITIVE_INT = _arg(int, lambda v: v > 0, "a positive integer")
+_POSITIVE = _arg(float, lambda v: math.isfinite(v) and v > 0, "a positive number")
+_SCAN = _arg(
+    lambda t: tuple(float(v) for v in t.split(":")),
+    lambda s: len(s) == 3 and _finite(s) and s[0] <= s[1] and s[2] > 0,
+    "lo:hi:step with finite lo <= hi and step > 0",
+)
+_BASE = _arg(float, lambda b: b == 0 or (b > 0 and b % 2 == 0), "0 or an even integer 2l")
+_FLOATS = _arg(lambda t: [float(v) for v in t.split(",")], _finite, "comma-separated numbers")
+
+
 def _parse_tau(args) -> tuple:
     """Returns (tau, tau_rational or None)."""
-    if getattr(args, "tau", None):
-        rat = Rational.from_string(args.tau)
-        return rat.value, rat
+    if getattr(args, "tau", None) is not None:
+        return args.tau.value, args.tau
     if getattr(args, "tau_real", None) is not None:
         if getattr(args, "treat_as_irrational", False):
             return args.tau_real, None
@@ -108,10 +143,7 @@ def cmd_region(args) -> int:
         bisected = regions.region_boundaries_bisect(tau, kind, tol=args.tol, tau_rational=rat)
     scan_rows: Optional[List] = None
     if args.scan:
-        try:
-            lo, hi, step = (float(v) for v in args.scan.split(":"))
-        except ValueError:
-            raise UsageError(f"--scan expects lo:hi:step, got {args.scan!r}")
+        lo, hi, step = args.scan
         scan_rows = []
         for i in range(int(round((hi - lo) / step)) + 1):
             c = round(lo + i * step, 12)
@@ -188,11 +220,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_sweep_eps(args) -> int:
-    eps_list = [float(v) for v in args.eps.split(",")]
-    base = float(args.base)
-    l = int(round(base / 2)) if base else None
-    template = robustness.PerturbationCase(base, eps_list[0], args.c, l)
-    rows = robustness.sweep(template, eps_list)
+    l = int(round(args.base / 2)) if args.base else None
+    template = robustness.PerturbationCase(args.base, args.eps[0], args.c, l)
+    rows = robustness.sweep(template, args.eps)
     _write_csv(
         args.output,
         ["eps", "lambda_eps", "eps_lambda_eps", "low_freq_clear", "error"],
@@ -202,26 +232,12 @@ def cmd_sweep_eps(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        rat = Rational.from_string(args.tau)
-    except ValueError:
-        raise UsageError(
-            f"simulate needs an exact rational delay M/N (got {args.tau!r}); "
-            "pick a convergent such as 41/20 for 2.05 - interpolating a "
-            "non-commensurate delay would add artificial dissipation"
-        )
+    rat = args.tau
     try:
         ic = pdesim.named_ic(args.ic)
+        config = pdesim.SimConfig(rat, DelayGains(args.c1, args.c2), args.K, args.T, ic, args.sample_every)
     except ValueError as exc:
         raise UsageError(str(exc))
-    config = pdesim.SimConfig(
-        rat,
-        DelayGains(args.c1, args.c2),
-        args.K,
-        args.T,
-        ic,
-        args.sample_every,
-    )
     trace = pdesim.simulate(config)
     _write_csv(args.output, ["t", "E"], list(trace.samples))
     if args.dump_state:
@@ -267,8 +283,8 @@ def build_parser() -> _Parser:
             sp.add_argument("--format", choices=["csv", "json"], default=sp.get_default("format") or "csv")
         sp.add_argument("--output", default="-", help="output path, '-' for stdout")
         if tau:
-            sp.add_argument("--tau", help="rational delay M/N")
-            sp.add_argument("--tau-real", type=float, help="delay as a decimal")
+            sp.add_argument("--tau", type=_delay("; use --tau-real for a decimal"), help="rational delay M/N")
+            sp.add_argument("--tau-real", type=_POSITIVE, help="delay as a decimal")
             sp.add_argument(
                 "--treat-as-irrational",
                 action="store_true",
@@ -279,7 +295,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_region, format="json")
     add_common(sp, fmt=True)
     sp.add_argument("--kind", choices=["cascade", "direct"], default="cascade")
-    sp.add_argument("--scan", help="lo:hi:step grid of gains to classify (use --scan=-1:1:0.1 for negative lo)")
+    sp.add_argument("--scan", type=_SCAN, help="lo:hi:step grid of gains to classify (use --scan=-1:1:0.1 for negative lo)")
     sp.add_argument("--tol", type=float, default=1e-7, help="bisection tolerance")
 
     sp = sub.add_parser("roots", help="characteristic roots in a rectangle")
@@ -300,20 +316,28 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sweep-eps", help="delay-perturbation sweep")
     sp.set_defaults(func=cmd_sweep_eps)
     add_common(sp, tau=False)
-    sp.add_argument("--base", type=float, required=True, help="0 or an even integer 2l")
+    sp.add_argument("--base", type=_BASE, required=True, help="0 or an even integer 2l")
     sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--eps", required=True, help="comma-separated perturbations")
+    sp.add_argument("--eps", type=_FLOATS, required=True, help="comma-separated perturbations")
 
     sp = sub.add_parser("simulate", help="energy trace of the exact simulator")
     sp.set_defaults(func=cmd_simulate)
     add_common(sp, tau=False)
-    sp.add_argument("--tau", required=True, help="rational delay M/N")
+    sp.add_argument(
+        "--tau",
+        type=_delay(
+            "; pick a convergent such as 41/20 for 2.05 - interpolating a "
+            "non-commensurate delay would add artificial dissipation"
+        ),
+        required=True,
+        help="rational delay M/N",
+    )
     sp.add_argument("--c1", type=float, required=True)
     sp.add_argument("--c2", type=float, required=True)
-    sp.add_argument("--K", type=int, default=40, help="cells per unit length")
-    sp.add_argument("--T", type=float, default=40.0, help="final time")
+    sp.add_argument("--K", type=_POSITIVE_INT, default=40, help="cells per unit length")
+    sp.add_argument("--T", type=_POSITIVE, default=40.0, help="final time")
     sp.add_argument("--ic", default="mixed", help="named initial condition")
-    sp.add_argument("--sample-every", type=float, default=1.0)
+    sp.add_argument("--sample-every", type=_POSITIVE, default=1.0)
     sp.add_argument("--dump-state", help="write the final state as JSON to this path")
 
     sp = sub.add_parser("critical", help="critical gain set for tau = m/n")

@@ -14,6 +14,17 @@ Boundary algebra per step (all at the new time level):
     q(0) = -p(0)                        z(0, t) = 0
     p(1) = q(1) + 2 w(1)                z_x(1, t) = w(1, t)
     w(0) = -c1 w(1) - c2 (p(1)+q(1))/2  u(t) = -c1 w(1,t) - c2 z_t(1,t)
+
+The interior only transports, so the state is three boundary traces seen
+through sliding windows.  With N = nK, M = mK and the extended traces
+    P[j] = p0[j] (j <= N), then p(1) at step j - N
+    Q[j] = q0[N - j] (j <= N), then q(0) at step j - N
+    W[j] = w0[M - j] (j <= M), then w(0) at step j - M
+the state at step k is P[k:k+N+1], Q[k:k+N+1][::-1] and W[k:k+M+1][::-1],
+and a step reads P[N+k] = Q[k] + 2 W[k], W[M+k] = -c1 W[k] - c2 (P[N+k]
++ Q[k])/2, Q[N+k] = -P[k].  With lags of 2N steps (wave round trip) and M
+(delay), a block of min(N, M) steps reads only earlier blocks: three numpy
+slice updates on buffers of one state window plus one block, O(N + M).
 """
 
 from __future__ import annotations
@@ -195,21 +206,43 @@ def step(state: SimState, config: SimConfig) -> SimState:
     return SimState(p, q, w, state.step_index + 1, state.dt)
 
 
+def _trace_blocks(config: SimConfig, steps: int):
+    """Yield ``(k, b, state_at)`` for step 0, then per block of steps k..k+b-1;
+    ``state_at(s)`` views the state at step s of it (at ``steps`` once done)."""
+    st = init(config)
+    N, M, dt = config.wave_cells, config.transport_cells, config.dt
+    c1, c2 = config.gains.c1, config.gains.c2
+    B = min(N, M)
+    # buffer position i holds trace index k - 1 + i, k the next block's first step
+    P, Q, W = np.empty(N + 1 + B), np.empty(N + 1 + B), np.empty(M + 1 + B)
+    P[:N + 1], Q[:N + 1], W[:M + 1] = st.p, st.q[::-1], st.w[::-1]
+    k = 1
+
+    def state_at(s: int) -> SimState:
+        i = s - k + 1
+        return SimState(P[i:i + N + 1], Q[i:i + N + 1][::-1], W[i:i + M + 1][::-1], s, dt)
+
+    yield 0, 1, state_at
+    while k <= steps:
+        b = min(B, steps - k + 1)
+        q, w, p_new = Q[1:b + 1], W[1:b + 1], P[N + 1:N + b + 1]
+        np.add(q, 2.0 * w, out=p_new)
+        W[M + 1:M + b + 1] = -c1 * w - c2 * 0.5 * (p_new + q)
+        Q[N + 1:N + b + 1] = -P[1:b + 1]
+        yield k, b, state_at
+        P[:N + 1], Q[:N + 1], W[:M + 1] = P[b:N + b + 1], Q[b:N + b + 1], W[b:M + b + 1]
+        k += b
+
+
 def simulate(config: SimConfig) -> EnergyTrace:
     """Run to t_final, sampling the energy every ``sample_every`` time units."""
-    state = init(config)
-    p, q, w = state.p, state.q, state.w
-    c1, c2 = config.gains.c1, config.gains.c2
     stride = int(round(config.sample_every / config.dt))
     steps = int(round(config.t_final / config.dt))
-    samples: List[Tuple[float, float]] = [(0.0, energy(state))]
-    for k in range(1, steps + 1):
-        _advance(p, q, w, c1, c2)
-        if k % stride == 0:
-            state.step_index = k
-            samples.append((k * config.dt, energy(state)))
-    state.step_index = steps
-    return EnergyTrace(tuple(samples), state)
+    samples: List[Tuple[float, float]] = []
+    for k, b, state_at in _trace_blocks(config, steps):
+        for s in range(-(-k // stride) * stride, k + b, stride):
+            samples.append((s * config.dt, energy(state_at(s))))
+    return EnergyTrace(tuple(samples), state_at(steps))
 
 
 def state_dict(state: SimState) -> dict:
@@ -247,46 +280,11 @@ def default_fit_window(rate_guess: float, t_final: float) -> Tuple[float, float]
 
 
 def boundary_trace_recursion(config: SimConfig, t_final: float):
-    """Boundary traces P(t) = p(1, t), W(t) = w(1, t) by pure delay algebra.
-
-    Independent of the grid simulator: the interior is never stored, only
-    the closed recursions
-
-        P(t) = Q1(t) + 2 W(t)
-        Q1(t) = q(1-t, 0) for t <= 1; -p(t-1, 0) for t <= 2; else -P(t-2)
-        W(t) = h(1 - t/tau) for t <= tau; else
-               -c1 W(t-tau) - c2 (P(t-tau) + Q1(t-tau)) / 2
-
-    evaluated on the exact dt grid.  Used to cross-validate the simulator.
-    """
-    dt = config.dt
-    n_steps = int(round(t_final / dt))
-    ic = config.ic
-    c1, c2 = config.gains.c1, config.gains.c2
-    wave_period = 2 * config.wave_cells          # delay 2 in steps
-    tau_steps = config.transport_cells           # delay tau in steps
-
-    P = np.zeros(n_steps + 1)
-    Q1 = np.zeros(n_steps + 1)
-    W = np.zeros(n_steps + 1)
-    for k in range(n_steps + 1):
-        t = k * dt
-        if k <= config.wave_cells:
-            xq = 1.0 - t
-            Q1[k] = float(ic.g(np.array([xq]))[0] - ic.df(np.array([xq]))[0])
-        elif k <= wave_period:
-            xp = t - 1.0
-            Q1[k] = -float(ic.g(np.array([xp]))[0] + ic.df(np.array([xp]))[0])
-        else:
-            Q1[k] = -P[k - wave_period]
-        if k <= tau_steps:
-            W[k] = float(ic.h(np.array([1.0 - t / config.tau]))[0])
-        else:
-            j = k - tau_steps
-            W[k] = -c1 * W[j] - c2 * 0.5 * (P[j] + Q1[j])
-        P[k] = Q1[k] + 2.0 * W[k]
-    # at t = 0 the trace is plain initial data (the boundary relation only
-    # binds for t > 0 when the data are incompatible at the corner)
-    P[0] = float(ic.g(np.array([1.0]))[0] + ic.df(np.array([1.0]))[0])
-    times = np.arange(n_steps + 1) * dt
-    return times, P, W
+    """Boundary traces P(t) = p(1, t), W(t) = w(1, t) on the exact dt grid:
+    per block, the tail of p at its last step and the tail of w at its first."""
+    n_steps = int(round(t_final / config.dt))
+    P, W = [], []
+    for k, b, state_at in _trace_blocks(config, n_steps):
+        P.append(state_at(k + b - 1).p[-b:].copy())
+        W.append(state_at(k).w[-b:][::-1].copy())
+    return np.arange(n_steps + 1) * config.dt, np.concatenate(P), np.concatenate(W)

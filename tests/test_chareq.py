@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,22 @@ class TestRational:
         assert rational_from_float(2.05) == Rational(41, 20)
         assert rational_from_float(0.1) == Rational(1, 10)
         assert rational_from_float(np.pi) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**4), st.integers(1, 10**4), st.integers(-6, 6))
+    def test_recovered_rational_is_accepted(self, num, den, ulps):
+        # every fraction rational_from_float returns stands for x in DelaySystem
+        x = num / den
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        rat = rational_from_float(x)
+        if rat is not None:
+            assert equal_gain_system(-0.3, x).tau_rational == rat
+            assert direct_feedback_system(0.3, x, rat).tau == x
+
+    def test_ulp_off_decimal(self):
+        s = equal_gain_system(-0.3, 0.30000000000000004)
+        assert s.tau_rational == Rational(3, 10) and s.tau == 0.30000000000000004
 
 
 class TestDelaySystem:

@@ -195,3 +195,46 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+class TestBadInput:
+    """Bad input is a usage error (exit 1), never a numerical failure (exit 2)."""
+
+    SIM = ("simulate", "--tau", "2/1", "--c1", "0", "--c2", "0")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SIM + ("--K", "0"),
+            SIM + ("--T", "0"),
+            SIM + ("--sample-every", "0.7", "--K", "3"),
+            ("simulate", "--tau", "0/1", "--c1", "0", "--c2", "0"),
+            ("region", "--tau", "2/0"),
+            ("region", "--tau", "abc"),
+            ("region", "--tau", "2/1", "--scan=0:1:0"),
+            ("region", "--tau", "2/1", "--scan=0:1:-0.1"),
+            ("region", "--tau-real", "nan"),
+            ("sweep-eps", "--base", "3", "--c", "-0.3", "--eps", "0.1"),
+            ("sweep-eps", "--base", "2", "--c", "-0.3", "--eps", "abc"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "usage error" in err and out == ""
+
+
+class TestUlpRational:
+    """A delay a few ulp from a small fraction takes that fraction's analysis."""
+
+    def test_region_matches_exact_fraction(self, capsys):
+        code, near, _ = run(capsys, "region", "--tau-real", "0.30000000000000004")
+        assert code == 0
+        code, exact, _ = run(capsys, "region", "--tau", "3/10")
+        assert code == 0 and json.loads(near) == json.loads(exact)
+
+    def test_sweep_row_has_no_error(self, capsys):
+        code, out, _ = run(capsys, "sweep-eps", "--base", "2", "--c", "-0.3", "--eps=-0.14")
+        assert code == 0
+        (row,) = csv.DictReader(out.splitlines())
+        assert row["error"] == "" and float(row["lambda_eps"]) > 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from delaywave.pdesim import (
     init,
     named_ic,
     simulate,
+    state_dict,
     step,
 )
 
@@ -178,3 +181,69 @@ class TestTraceRecursion:
             w_trace.append(st.w[-1])
         assert np.abs(np.array(p_trace) - P).max() < 1e-10
         assert np.abs(np.array(w_trace) - W).max() < 1e-10
+
+
+# ---------------------------------------------------------------- block recursion vs one-step reference
+
+
+def stepped(cfg):
+    """Energy samples, final state and x = 1 traces of a loop over ``step``."""
+    st = init(cfg)
+    stride = int(round(cfg.sample_every / cfg.dt))
+    samples, p1, w1 = [(0.0, energy(st))], [st.p[-1]], [st.w[-1]]
+    for k in range(1, int(round(cfg.t_final / cfg.dt)) + 1):
+        st = step(st, cfg)
+        p1.append(st.p[-1])
+        w1.append(st.w[-1])
+        if k % stride == 0:
+            samples.append((k * cfg.dt, energy(st)))
+    return tuple(samples), st, np.array(p1), np.array(w1)
+
+
+class TestBlockRecursion:
+    @pytest.mark.parametrize(
+        "m,n,c1,c2,K,T,every",
+        [
+            (1, 5, -0.3, -0.3, 4, 8.0, 1.0),  # tau < 1: blocks of mK steps
+            (41, 20, -0.25, -0.25, 2, 6.0, 1.0),
+            (3, 2, -0.3, 0.2, 6, 10.0, 0.5),  # c1 != c2, two samples per block
+            (3, 2, 0.25, -0.1, 1, 13.0, 2.0),  # K = 1, a sample every other block
+            (2, 1, -0.25, -0.25, 5, 7.3, 1.0),  # 36 steps: a partial last block
+        ],
+    )
+    def test_matches_stepper(self, m, n, c1, c2, K, T, every):
+        cfg = config(m, n, c1, c2, K=K, T=T, sample_every=every)
+        samples, st, p1, w1 = stepped(cfg)
+        trace = simulate(cfg)
+        # same energy() on the same values: bit-identical, not merely close
+        assert trace.samples == samples
+        fin = trace.final_state
+        assert fin.step_index == st.step_index
+        for a, b in ((fin.p, st.p), (fin.q, st.q), (fin.w, st.w)):
+            assert np.array_equal(a, b)
+        assert state_dict(fin) == state_dict(st)
+        times, P, W = boundary_trace_recursion(cfg, T)
+        assert len(times) == len(p1) and np.array_equal(P, p1) and np.array_equal(W, w1)
+
+    def test_extinction_zeros_kept(self):
+        cfg = config(2, 1, -0.5, -0.5, K=10, T=10.0)
+        samples, _, _, _ = stepped(cfg)
+        got = simulate(cfg).samples
+        assert got == samples
+        zeros = [t for t, e in got if e == 0.0]
+        assert zeros == [t for t, e in samples if e == 0.0] and len(zeros) >= 4
+
+    def test_memory_bounded_in_horizon(self):
+        def peak(T):
+            cfg = config(2, 1, -0.25, -0.25, K=100, T=T)
+            tracemalloc.start()
+            try:
+                simulate(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(40.0)  # warm-up
+        # a full-history trace of float64 would grow by 8 bytes per extra step
+        extra_steps = (400 - 40) * 100
+        assert peak(400.0) - peak(40.0) < 8 * extra_steps
