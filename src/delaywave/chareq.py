@@ -254,8 +254,7 @@ def eval_g(sys: DelaySystem, lam):
     """
     if sys.kind is not CharKind.CASCADE_EQUAL_GAINS:
         raise ValueError("g is defined for the equal-gain variant only")
-    tau = sys.tau
-    return ExpSum.of([(-0.5, tau), (-0.5, tau - 2.0)])(lam)
+    return g_expsum(sys.tau)(lam)
 
 
 def g_expsum(tau: float, offset: float = 0.0) -> ExpSum:

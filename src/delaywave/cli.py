@@ -74,10 +74,13 @@ def _delay(hint: str):
 
 _POSITIVE_INT = _arg(int, lambda v: v > 0, "a positive integer")
 _POSITIVE = _arg(float, lambda v: math.isfinite(v) and v > 0, "a positive number")
+_FINITE = _arg(float, math.isfinite, "a finite number")
+_MAX_SCAN_POINTS = 10**5
 _SCAN = _arg(
     lambda t: tuple(float(v) for v in t.split(":")),
-    lambda s: len(s) == 3 and _finite(s) and s[0] <= s[1] and s[2] > 0,
-    "lo:hi:step with finite lo <= hi and step > 0",
+    lambda s: len(s) == 3 and _finite(s) and s[0] <= s[1] and s[2] > 0
+    and (s[1] - s[0]) / s[2] < _MAX_SCAN_POINTS,
+    f"lo:hi:step with finite lo <= hi, step > 0 and at most {_MAX_SCAN_POINTS} points",
 )
 _BASE = _arg(float, lambda b: b == 0 or (b > 0 and b % 2 == 0), "0 or an even integer 2l")
 _FLOATS = _arg(lambda t: [float(v) for v in t.split(",")], _finite, "comma-separated numbers")
@@ -144,10 +147,11 @@ def cmd_region(args) -> int:
     scan_rows: Optional[List] = None
     if args.scan:
         lo, hi, step = args.scan
+        system = chareq.equal_gain_system if kind is CharKind.CASCADE_EQUAL_GAINS else chareq.direct_feedback_system
         scan_rows = []
         for i in range(int(round((hi - lo) / step)) + 1):
             c = round(lo + i * step, 12)
-            sysd = regions._system_for(kind, c, tau, rat)
+            sysd = system(c, tau, rat)
             verdict = regions.classify(sysd, treat_as_irrational=args.treat_as_irrational)
             scan_rows.append((c, verdict.state.value))
     if args.format == "json":
@@ -301,14 +305,14 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("roots", help="characteristic roots in a rectangle")
     sp.set_defaults(func=cmd_roots)
     add_common(sp)
-    sp.add_argument("--c1", type=float, required=True)
-    sp.add_argument("--c2", type=float, required=True)
+    sp.add_argument("--c1", type=_FINITE, required=True)
+    sp.add_argument("--c2", type=_FINITE, required=True)
     sp.add_argument("--rect", type=float, nargs=4, required=True, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
 
     sp = sub.add_parser("count", help="root counts in the disk or a strip")
     sp.set_defaults(func=cmd_count)
     add_common(sp, fmt=True)
-    sp.add_argument("--c", type=float, required=True)
+    sp.add_argument("--c", type=_FINITE, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--disk", action="store_true")
     group.add_argument("--strip", type=int, nargs=2, metavar=("A", "B"))
@@ -317,7 +321,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_sweep_eps)
     add_common(sp, tau=False)
     sp.add_argument("--base", type=_BASE, required=True, help="0 or an even integer 2l")
-    sp.add_argument("--c", type=float, required=True)
+    sp.add_argument("--c", type=_FINITE, required=True)
     sp.add_argument("--eps", type=_FLOATS, required=True, help="comma-separated perturbations")
 
     sp = sub.add_parser("simulate", help="energy trace of the exact simulator")
@@ -332,8 +336,8 @@ def build_parser() -> _Parser:
         required=True,
         help="rational delay M/N",
     )
-    sp.add_argument("--c1", type=float, required=True)
-    sp.add_argument("--c2", type=float, required=True)
+    sp.add_argument("--c1", type=_FINITE, required=True)
+    sp.add_argument("--c2", type=_FINITE, required=True)
     sp.add_argument("--K", type=_POSITIVE_INT, default=40, help="cells per unit length")
     sp.add_argument("--T", type=_POSITIVE, default=40.0, help="final time")
     sp.add_argument("--ic", default="mixed", help="named initial condition")

@@ -1,10 +1,14 @@
 """Argument-principle counting, root isolation and refinement in the lam-plane.
 
-Winding numbers are computed by adaptive argument tracking along rectangle
-(or circle) contours: edges are resampled until every step turns by less
-than pi/2, which pins the branch of the argument.  Since the tracked
-functions are analytic, the winding equals the number of enclosed zeros
-counted with multiplicity.
+Every winding number comes from one argument tracker over a closed path
+t in [0, 1] -> z: the four edges of a rectangle, a quarter of t each, or
+the unit circle exp(2 pi i t).  Steps that turn by pi/2 or more are bisected
+until none is left, which pins the branch of the argument, and the count is
+repeated at doubled initial density until two rounds agree.  Since the
+tracked functions are analytic, the winding equals the number of enclosed
+zeros counted with multiplicity.  A contour that touches a zero raises
+:class:`OnContourZero`; a rectangle the caller may move is dilated with
+jitter and retried under one policy, ``_winding_with_retries``.
 
 Double roots are certified structurally rather than by ever-finer bisection:
 principal-value tracking cannot see the full 2*pi swing of a quadratic dip
@@ -95,40 +99,62 @@ class RootRecord:
     multiplicity: int
 
 
-def _track_segment(func, za, zb, n0, zero_tol, max_pass=60):
-    """Sample func on the straight segment [za, zb] until arg steps < pi/2."""
-    t = np.linspace(0.0, 1.0, n0)
-    z = za + (zb - za) * t
-    w = func(z)
+def _track(func, path, n, zero_tol, max_pass=60) -> float:
+    """Total change of arg func along ``path(t)``, t from 0 to 1.
+
+    Starts from n uniform samples of t and bisects every step that turns by
+    pi/2 or more; only the new samples are evaluated.
+    """
+    t = np.linspace(0.0, 1.0, n)
+    w = func(path(t))
     for _ in range(max_pass):
-        absw = np.abs(w)
-        if np.any(absw < zero_tol):
+        if np.any(np.abs(w) < zero_tol):
             raise OnContourZero("|func| below tolerance on contour")
         dphi = np.angle(w[1:] / w[:-1])
-        bad = np.abs(dphi) >= 0.5 * np.pi
-        if not bad.any():
+        bad = np.flatnonzero(np.abs(dphi) >= 0.5 * np.pi)
+        if not bad.size:
             return float(dphi.sum())
-        tm = 0.5 * (t[:-1][bad] + t[1:][bad])
-        t = np.sort(np.concatenate([t, tm]))
-        z = za + (zb - za) * t
-        w = func(z)
+        tm = 0.5 * (t[bad] + t[bad + 1])
+        t = np.insert(t, bad + 1, tm)
+        w = np.insert(w, bad + 1, func(path(tm)))
     raise OnContourZero("argument tracking did not settle (zero very near contour)")
 
 
-def _winding_rect_once(func, rect, n0, zero_tol) -> int:
-    corners = [
+def _winding(func, path, n, zero_tol) -> int:
+    """Winding number of ``func`` around 0 along the closed ``path``.
+
+    Principal-value tracking alone can settle on an aliased count when a
+    coarse step hides a full turn, so the count is recomputed at doubled
+    initial density until two consecutive rounds agree.
+    """
+    k_prev = None
+    for _ in range(8):
+        turns = _track(func, path, n, zero_tol) / (2.0 * np.pi)
+        k = round(turns)
+        if abs(turns - k) > 0.25:
+            raise OnContourZero(f"non-integer winding {turns:.3f}")
+        if k == k_prev:
+            return k
+        k_prev, n = k, 2 * n - 1
+    raise OnContourZero("winding did not stabilise under sample doubling")
+
+
+def _rect_path(rect: ComplexRect):
+    """The boundary of ``rect``, counter-clockwise, one edge per quarter of t."""
+    corners = np.array([
         complex(rect.re_min, rect.im_min),
         complex(rect.re_max, rect.im_min),
         complex(rect.re_max, rect.im_max),
         complex(rect.re_min, rect.im_max),
-    ]
-    total = 0.0
-    for za, zb in zip(corners, corners[1:] + corners[:1]):
-        total += _track_segment(func, za, zb, n0, zero_tol)
-    k = total / (2.0 * np.pi)
-    if abs(k - round(k)) > 0.25:
-        raise OnContourZero(f"non-integer winding {k:.3f}")
-    return int(round(k))
+        complex(rect.re_min, rect.im_min),
+    ])
+
+    def path(t):
+        s = 4.0 * t
+        edge = np.minimum(s.astype(int), 3)
+        return corners[edge] + (corners[edge + 1] - corners[edge]) * (s - edge)
+
+    return path
 
 
 def winding_rect(
@@ -140,21 +166,12 @@ def winding_rect(
     """Winding number of ``func`` around 0 along the rectangle boundary.
 
     ``func`` must accept complex ndarrays.  Equals the number of zeros of an
-    analytic ``func`` inside the rectangle, counted with multiplicity.
-    Principal-value tracking alone can settle on an aliased count when a
-    coarse step hides a full turn, so the count is recomputed at doubled
-    initial density until two consecutive rounds agree.  Raises
-    :class:`OnContourZero` when a sample of |func| drops below ``zero_tol``;
-    the caller should perturb the rectangle and retry.
+    analytic ``func`` inside the rectangle, counted with multiplicity.  Each
+    edge starts from ``n0`` samples, and the count must agree under sample
+    doubling.  Raises :class:`OnContourZero` when a sample of |func| drops
+    below ``zero_tol``; the caller should perturb the rectangle and retry.
     """
-    k_prev = _winding_rect_once(func, rect, n0, zero_tol)
-    for _ in range(7):
-        n0 = 2 * n0 - 1
-        k = _winding_rect_once(func, rect, n0, zero_tol)
-        if k == k_prev:
-            return k
-        k_prev = k
-    raise OnContourZero("winding did not stabilise under sample doubling")
+    return _winding(func, _rect_path(rect), 4 * (n0 - 1) + 1, zero_tol)
 
 
 def expsum_sample_hint(es: ExpSum, rect: ComplexRect) -> int:
@@ -164,37 +181,6 @@ def expsum_sample_hint(es: ExpSum, rect: ComplexRect) -> int:
     rate = max(abs(a) for a in es.rates)
     span = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
     return min(20001, max(17, int(rate * span)))
-
-
-def _winding_circle_once(func, n0, zero_tol, max_pass=60) -> int:
-    th = np.linspace(0.0, 2.0 * np.pi, n0)
-    w = func(np.exp(1j * th))
-    for _ in range(max_pass):
-        absw = np.abs(w)
-        if np.any(absw < zero_tol):
-            raise OnContourZero("|func| below tolerance on |z| = 1")
-        dphi = np.angle(w[1:] / w[:-1])
-        bad = np.abs(dphi) >= 0.5 * np.pi
-        if not bad.any():
-            k = dphi.sum() / (2.0 * np.pi)
-            if abs(k - round(k)) > 0.25:
-                raise OnContourZero(f"non-integer winding {k:.3f}")
-            return int(round(k))
-        tm = 0.5 * (th[:-1][bad] + th[1:][bad])
-        th = np.sort(np.concatenate([th, tm]))
-        w = func(np.exp(1j * th))
-    raise OnContourZero("argument tracking did not settle on |z| = 1")
-
-
-def _winding_circle(func, n0=65, zero_tol=1e-12) -> int:
-    k_prev = _winding_circle_once(func, n0, zero_tol)
-    for _ in range(7):
-        n0 = 2 * n0 - 1
-        k = _winding_circle_once(func, n0, zero_tol)
-        if k == k_prev:
-            return k
-        k_prev = k
-    raise OnContourZero("winding did not stabilise under sample doubling")
 
 
 def count_in_disk(p) -> int:
@@ -207,8 +193,7 @@ def count_in_disk(p) -> int:
         if p.coeffs[0] == 0.0:
             raise ValueError("zero polynomial")
         return 0
-    coeffs_desc = np.asarray(p.coeffs[::-1])
-    return _winding_circle(lambda z: np.polyval(coeffs_desc, z), n0=max(65, 8 * p.degree + 1))
+    return _winding(p, lambda t: np.exp(2j * np.pi * t), max(65, 8 * p.degree + 1), 1e-12)
 
 
 def count_in_strip(sys: DelaySystem, a: int, b: int, re_max: Optional[float] = None) -> int:
@@ -267,20 +252,22 @@ def re_bound(sys: DelaySystem) -> float:
     return hi + 0.5
 
 
-def _newton(func, dfunc, z0, rect, pad, iters=80, tol=1e-15):
-    z = z0
+def _newton(func, dfunc, z, iters, box=None, pad=0.0):
+    """Newton's method from ``z``: at most ``iters`` steps, stopping early
+    where the derivative vanishes or after a step below 1e-15 * (1 + |z|).
+    ``func`` and ``dfunc`` take a scalar.  Returns None when, given a
+    ``box``, an iterate leaves it by more than ``pad``.
+    """
     for _ in range(iters):
-        fz = complex(func(np.array([z]))[0])
-        dz = complex(dfunc(np.array([z]))[0])
-        if dz == 0:
+        d = complex(dfunc(z))
+        if d == 0:
+            break
+        step = complex(func(z)) / d
+        z = z - step
+        if box is not None and not box.contains(z, pad):
             return None
-        step = fz / dz
-        z2 = z - step
-        if not rect.contains(z2, pad):
-            return None
-        z = z2
-        if abs(step) < tol * (1.0 + abs(z)):
-            return z
+        if abs(step) < 1e-15 * (1.0 + abs(z)):
+            break
     return z
 
 
@@ -332,19 +319,21 @@ def isolate_and_refine(
 def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, rng, out) -> None:
     if k == 0:
         return
+    # Newton may wander up to pad outside the box, but a root is accepted
+    # only inside it: one just outside belongs to a neighbouring box
     pad = 1e-9 + 0.05 * rect.diag
     if k == 1:
-        z = _newton(func, dfunc, rect.center, rect, pad)
-        if z is not None:
-            res = abs(complex(func(np.array([z]))[0]))
+        z = _newton(func, dfunc, rect.center, 80, rect, pad)
+        if z is not None and rect.contains(z, 1e-9):
+            res = abs(complex(func(z)))
             if res < resid_tol:
                 out.append(RootRecord(z, res, 1))
                 return
     if k == 2:
-        zd = _newton(dfunc, d2func, rect.center, rect, pad)
-        if zd is not None:
-            fz = abs(complex(func(np.array([zd]))[0]))
-            f2 = abs(complex(d2func(np.array([zd]))[0]))
+        zd = _newton(dfunc, d2func, rect.center, 80, rect, pad)
+        if zd is not None and rect.contains(zd, 1e-9):
+            fz = abs(complex(func(zd)))
+            f2 = abs(complex(d2func(zd)))
             sep = math.sqrt(2.0 * fz / f2) if f2 > 0 else math.inf
             if sep < 1e-7 and fz < resid_tol:
                 out.append(RootRecord(zd, fz, 2))
@@ -421,24 +410,30 @@ def min_unstable_imag(
         vals = n * np.abs(np.angle(roots[sel]))
         vals = vals[vals <= im_cap]
         return float(vals.min()) if vals.size else None
-    return _min_unstable_imag_scan(sys, im_cap)
+    lam = _first_unstable_root(sys, im_cap)
+    return None if lam is None else abs(lam.imag)
 
 
-def _min_unstable_imag_scan(sys: DelaySystem, im_cap: float) -> Optional[float]:
+def _first_unstable_root(sys: DelaySystem, height: float) -> Optional[complex]:
+    """Root with Re lam >= -1e-8 and the least Im lam in [0, height), or None.
+
+    Scans strips of height pi upward from the real axis by winding, under
+    the contact policy of :func:`_winding_with_retries`, and isolates the
+    roots of the first strip that holds one.
+    """
     reb = re_bound(sys)
     func = char_expsum(sys)
     rng = np.random.default_rng(0x5CA9)
     j = 0
-    while j * np.pi < im_cap:
-        lo, hi = j * np.pi, min((j + 1) * np.pi, im_cap)
+    while j * np.pi < height:
+        lo, hi = j * np.pi, min((j + 1) * np.pi, height)
         if hi - lo < 1e-9:
             break
         rect = ComplexRect(-1e-9, reb, lo - 1e-9, hi)
         k, rect = _winding_with_retries(func, rect, rng, n0=expsum_sample_hint(func, rect))
         if k > 0:
-            roots = isolate_and_refine(sys, rect)
-            vals = [abs(r.lam.imag) for r in roots if r.lam.real >= -1e-8]
-            if vals:
-                return min(vals)
+            cands = [r.lam for r in isolate_and_refine(sys, rect) if r.lam.real >= -1e-8]
+            if cands:
+                return min(cands, key=lambda z: abs(z.imag))
         j += 1
     return None

@@ -192,7 +192,20 @@ def jury_all_inside(p: PolyReal) -> bool:
 class PolyStability:
     state: StabilityState
     report: DiskRootReport
-    jury_stable: Optional[bool]
+    poly: PolyReal
+
+    @property
+    def jury_stable(self) -> Optional[bool]:
+        """:func:`jury_all_inside` on z^deg P(1/z), computed when read.
+
+        All reciprocal roots strictly inside iff all roots of P are strictly
+        outside.  None when P(0) = 0 (the reversed polynomial degenerates;
+        z = 0 is then a root inside the disk and the verdict is unstable
+        regardless).
+        """
+        if self.poly.coeffs[0] == 0.0:
+            return None
+        return jury_all_inside(self.poly.reversed())
 
 
 def stability_from_poly(p: PolyReal, tol: float = 1e-9) -> PolyStability:
@@ -202,10 +215,7 @@ def stability_from_poly(p: PolyReal, tol: float = 1e-9) -> PolyStability:
     marginal : no roots strictly inside, at least one on the circle
     unstable : at least one root strictly inside
 
-    ``jury_stable`` applies :func:`jury_all_inside` to z^deg P(1/z): all
-    reciprocal roots strictly inside iff all roots of P are strictly outside.
-    It is None when P(0) = 0 (the reversed polynomial degenerates; z = 0 is
-    then a root inside the disk and the verdict is unstable regardless).
+    The Jury route, ``jury_stable``, runs only when it is read.
     """
     rep = disk_roots(p, tol)
     if rep.count_inside > 0:
@@ -214,9 +224,4 @@ def stability_from_poly(p: PolyReal, tol: float = 1e-9) -> PolyStability:
         state = StabilityState.MARGINAL
     else:
         state = StabilityState.STABLE
-    jury: Optional[bool]
-    if p.coeffs[0] == 0.0:
-        jury = None
-    else:
-        jury = jury_all_inside(p.reversed())
-    return PolyStability(state, rep, jury)
+    return PolyStability(state, rep, p)

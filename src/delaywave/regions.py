@@ -20,19 +20,15 @@ import numpy as np
 from .chareq import (
     CharKind,
     DelaySystem,
+    Rational,
     char_expsum,
+    direct_feedback_system,
+    equal_gain_system,
     g_expsum,
     rational_from_float,
 )
-from .contour import (
-    ComplexRect,
-    OnContourZero,
-    expsum_sample_hint,
-    isolate_and_refine,
-    re_bound,
-    winding_rect,
-)
-from .polyform import StabilityState, reduce_to_polynomial, stability_from_poly
+from .contour import _first_unstable_root, _newton
+from .polyform import PolyReal, StabilityState, reduce_to_polynomial, stability_from_poly
 
 __all__ = [
     "CriticalSet",
@@ -128,9 +124,27 @@ def critical_set_E(m: int, n: int, validate: bool = False) -> CriticalSet:
     return cs
 
 
-def _poly_on_circle(theta, m, n, c):
-    z = np.exp(1j * theta)
-    return 1.0 + 2.0 * c * z**m + z ** (2 * n)
+def _disk_poly(m: int, n: int, c: float) -> PolyReal:
+    """Equal-gain disk polynomial 1 + 2c z^m + z^(2n) for tau = m/n."""
+    return reduce_to_polynomial(equal_gain_system(c, m / n, Rational(m, n)))
+
+
+def _sign_change_zeros(f, x) -> List[float]:
+    """Zeros of ``f`` at its sign changes on the grid ``x``, bisected 80 times."""
+    s = np.sign(f(x))
+    out: List[float] = []
+    for i in np.flatnonzero(s[:-1] * s[1:] < 0):
+        a, b = x[i], x[i + 1]
+        fa = f(a)
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            fm = f(mid)
+            if fa * fm <= 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        out.append(0.5 * (a + b))
+    return out
 
 
 def _validate_critical_set(cs: CriticalSet, m: int, n: int) -> None:
@@ -139,24 +153,11 @@ def _validate_critical_set(cs: CriticalSet, m: int, n: int) -> None:
     pairs = [(-math.cos(m * k * math.pi / d), k * math.pi / d) for k in range(2 * d)]
     pairs += [(0.0, (2 * k + 1) * math.pi / (2 * n)) for k in range(2 * n)]
     for v, th in pairs:
-        if abs(_poly_on_circle(np.array([th]), m, n, v))[0] >= 1e-9:
+        if abs(_disk_poly(m, n, v)(np.exp(1j * th))) >= 1e-9:
             raise ValueError(f"critical value {v} admits no unit-circle root")
     # completeness: real-gain circle crossings solve Im condition
     theta = np.linspace(0.0, 2.0 * np.pi, 40001)
-    im = np.sin((2 * n - m) * theta) - np.sin(m * theta)
-    s = np.sign(im)
-    idx = np.where(s[:-1] * s[1:] < 0)[0]
-    for i in idx:
-        a, b = theta[i], theta[i + 1]
-        fa = math.sin((2 * n - m) * a) - math.sin(m * a)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = math.sin((2 * n - m) * mid) - math.sin(m * mid)
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        th0 = 0.5 * (a + b)
+    for th0 in _sign_change_zeros(lambda th: np.sin((2 * n - m) * th) - np.sin(m * th), theta):
         cval = -math.cos(n * th0) * math.cos((n - m) * th0)
         if min(abs(cval - v) for v in cs.values) > 1e-8:
             raise ValueError(f"scan found extra critical value {cval}")
@@ -170,22 +171,8 @@ def critical_set_strip(tau: float, a: int, b: int, grid: int = 40001) -> Critica
     collected.
     """
     beta = np.linspace(a * np.pi, b * np.pi, grid)
-    gi = -0.5 * (np.exp(1j * tau * beta) + np.exp(1j * (tau - 2.0) * beta))
-    im = gi.imag
-    s = np.sign(im)
-    vals: List[float] = []
-    for i in np.where(s[:-1] * s[1:] < 0)[0]:
-        lo, hi = beta[i], beta[i + 1]
-        flo = -0.5 * (math.sin(tau * lo) + math.sin((tau - 2.0) * lo))
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = -0.5 * (math.sin(tau * mid) + math.sin((tau - 2.0) * mid))
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        b0 = 0.5 * (lo + hi)
-        vals.append(-0.5 * (math.cos(tau * b0) + math.cos((tau - 2.0) * b0)))
+    zeros = _sign_change_zeros(lambda x: -0.5 * (np.sin(tau * x) + np.sin((tau - 2.0) * x)), beta)
+    vals = [-0.5 * (math.cos(tau * b0) + math.cos((tau - 2.0) * b0)) for b0 in zeros]
     return CriticalSet(_dedup_sorted(vals, 1e-9), "C_ab_numeric")
 
 
@@ -272,30 +259,14 @@ def unit_circle_continuation(m: int, n: int, c_star: float, dc: float = 1e-5) ->
     modulis is the continuation check for :func:`branch_sign_r`.
     """
 
-    def poly_roots(c):
-        a = np.zeros(max(m, 2 * n) + 1)
-        a[0] = 1.0
-        a[2 * n] += 1.0
-        a[m] += 2.0 * c
-        while a[-1] == 0.0 and a.size > 1:
-            a = a[:-1]
-        return np.roots(a[::-1])
-
-    roots = poly_roots(c_star)
-    upper = [z for z in roots if z.imag >= -1e-12]
+    upper = [z for z in np.roots(_disk_poly(m, n, c_star).coeffs[::-1]) if z.imag >= -1e-12]
     z0 = min(upper, key=lambda z: abs(abs(z) - 1.0))
 
-    def track(c, z):
-        for _ in range(50):
-            p = 1.0 + 2.0 * c * z**m + z ** (2 * n)
-            dp = 2.0 * c * m * z ** (m - 1) + 2.0 * n * z ** (2 * n - 1)
-            step = p / dp
-            z = z - step
-            if abs(step) < 1e-15:
-                break
-        return z
+    def track(c):
+        p = _disk_poly(m, n, c)
+        return abs(_newton(p, PolyReal.from_coeffs(p.derivative_coeffs()), z0, 50))
 
-    return abs(track(c_star - dc, z0)), abs(track(c_star + dc, z0))
+    return track(c_star - dc), track(c_star + dc)
 
 
 def strip_continuation(tau: float, c_star: float, beta0: float, dc: float = 1e-5) -> Tuple[float, float]:
@@ -303,21 +274,9 @@ def strip_continuation(tau: float, c_star: float, beta0: float, dc: float = 1e-5
 
     Returns (Re lam(c_star - dc), Re lam(c_star + dc)).
     """
-    g = g_expsum(tau)
-    dg = g.derivative()
-
-    def track(c, lam):
-        for _ in range(50):
-            val = complex(g(np.array([lam]))[0]) - c
-            der = complex(dg(np.array([lam]))[0])
-            step = val / der
-            lam = lam - step
-            if abs(step) < 1e-15:
-                break
-        return lam
-
-    lam0 = 1j * beta0
-    return track(c_star - dc, lam0).real, track(c_star + dc, lam0).real
+    dg = g_expsum(tau).derivative()
+    lo, hi = (_newton(g_expsum(tau, c), dg, 1j * beta0, 50) for c in (c_star - dc, c_star + dc))
+    return lo.real, hi.real
 
 
 def find_pos_neg_cos(tau: float, bound: int) -> Tuple[int, int]:
@@ -399,47 +358,6 @@ def _rational_system(sys: DelaySystem) -> DelaySystem:
     return replace(sys, tau=rat.value, tau_rational=rat)
 
 
-def _polish_witness(sys: DelaySystem, lam: complex) -> complex:
-    f = char_expsum(sys)
-    df = f.derivative()
-    for _ in range(4):
-        d = complex(df(np.array([lam]))[0])
-        if d == 0:
-            break
-        lam = lam - complex(f(np.array([lam]))[0]) / d
-    return lam
-
-
-def _strip_witness(sys: DelaySystem, max_strips: int = 64) -> complex:
-    reb = re_bound(sys)
-    func = char_expsum(sys)
-    rng = np.random.default_rng(0xB0B)
-    for j in range(max_strips):
-        rect = ComplexRect(-1e-9, reb, j * np.pi - 1e-9, (j + 1) * np.pi)
-        n0 = expsum_sample_hint(func, rect)
-        try:
-            k = winding_rect(func, rect, n0=n0)
-        except OnContourZero:
-            ok = False
-            for _ in range(8):
-                d = 1e-7 * (1.0 + reb + (j + 1) * np.pi) * (1 + rng.random())
-                try:
-                    k = winding_rect(func, rect.dilated(d), n0=n0)
-                    rect = rect.dilated(d)
-                    ok = True
-                    break
-                except OnContourZero:
-                    continue
-            if not ok:
-                continue
-        if k > 0:
-            roots = isolate_and_refine(sys, rect)
-            cands = [r.lam for r in roots if r.lam.real >= -1e-8]
-            if cands:
-                return min(cands, key=lambda z: abs(z.imag))
-    raise WitnessSearchExhausted(f"no unstable root in the first {max_strips} strips")
-
-
 def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVerdict:
     """Three-way stability verdict with an explicit unstable/marginal witness.
 
@@ -455,7 +373,10 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
         a3 = -(sys.c1 - sys.c2)
         if hale_two_delay(a1, a2, a3):
             return StabilityVerdict(StabilityState.STABLE, None)
-        return StabilityVerdict(StabilityState.UNSTABLE, _strip_witness(sys))
+        lam = _first_unstable_root(sys, 64 * np.pi)
+        if lam is None:
+            raise WitnessSearchExhausted("no unstable root in the first 64 strips")
+        return StabilityVerdict(StabilityState.UNSTABLE, lam)
     rsys = _rational_system(sys)
     m, n = rsys.tau_rational.num, rsys.tau_rational.den
     if m + 2 * n > _MAX_REDUCED_DEGREE:
@@ -472,18 +393,8 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
     else:
         on = roots[np.abs(np.abs(roots) - 1.0) < 1e-9]
         z = on[np.argmin(np.abs(np.angle(on)))]
-    lam = _polish_witness(rsys, -n * np.log(complex(z)))
-    return StabilityVerdict(ps.state, lam)
-
-
-def _system_for(kind: CharKind, c: float, tau: float, tau_rational) -> DelaySystem:
-    from .chareq import DelayGains
-
-    if kind is CharKind.CASCADE_EQUAL_GAINS:
-        return DelaySystem(DelayGains(c, c), tau, tau_rational, kind)
-    if kind is CharKind.DIRECT_DELAY_FEEDBACK:
-        return DelaySystem(DelayGains(0.0, c), tau, tau_rational, kind)
-    raise ValueError("one-gain variants only")
+    f = char_expsum(rsys)
+    return StabilityVerdict(ps.state, _newton(f, f.derivative(), -n * np.log(complex(z)), 4))
 
 
 def region_boundaries_bisect(
@@ -504,8 +415,10 @@ def region_boundaries_bisect(
     else:
         rat = tau_rational
 
+    system = equal_gain_system if kind is CharKind.CASCADE_EQUAL_GAINS else direct_feedback_system
+
     def stable(c: float) -> bool:
-        verdict = classify(_system_for(kind, c, tau, rat))
+        verdict = classify(system(c, tau, rat))
         return verdict.state is StabilityState.STABLE
 
     closed = stability_region(tau, kind)

@@ -15,14 +15,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .chareq import DelaySystem, ExpSum, equal_gain_system
+from .chareq import DelaySystem, ExpSum, char_expsum, equal_gain_system
 from .contour import (
     ComplexRect,
-    OnContourZero,
+    _winding_with_retries,
     expsum_sample_hint,
     min_unstable_imag,
     re_bound,
-    winding_rect,
 )
 from .polyform import StabilityState
 from .regions import classify, stability_region
@@ -149,19 +148,11 @@ def check_low_freq_clear(case: PerturbationCase, margin_frac: float = 1e-6) -> b
     if height >= 1e4:
         raise ValueError("clearance height above the desk-scale cap 1e4; enlarge eps")
     sys = perturbed_system(case)
-    from .chareq import char_expsum
-
     func = char_expsum(sys)
     rect = ComplexRect(0.0, re_bound(sys), 0.0, height * (1.0 - margin_frac))
     rng = np.random.default_rng(0xCAFE)
-    n0 = expsum_sample_hint(func, rect)
-    for _ in range(9):
-        try:
-            return winding_rect(func, rect, n0=n0) == 0
-        except OnContourZero:
-            d = 1e-7 * (1.0 + height) * (1 + rng.random())
-            rect = rect.dilated(d)
-    raise OnContourZero("persistent contour contact in clearance check")
+    k, _ = _winding_with_retries(func, rect, rng, n0=expsum_sample_hint(func, rect))
+    return k == 0
 
 
 def find_lambda_eps(case: PerturbationCase) -> float:

@@ -216,6 +216,11 @@ class TestBadInput:
             ("region", "--tau-real", "nan"),
             ("sweep-eps", "--base", "3", "--c", "-0.3", "--eps", "0.1"),
             ("sweep-eps", "--base", "2", "--c", "-0.3", "--eps", "abc"),
+            ("sweep-eps", "--base", "2", "--c", "nan", "--eps", "0.1"),
+            ("count", "--tau", "2/1", "--c", "nan", "--disk"),
+            ("roots", "--tau", "2/1", "--c1", "nan", "--c2", "0", "--rect", "-1", "1", "-1", "1"),
+            ("roots", "--tau", "2/1", "--c1", "0", "--c2", "inf", "--rect", "-1", "1", "-1", "1"),
+            ("region", "--tau", "2/1", "--scan=0:1:1e-12"),
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -232,6 +232,25 @@ class TestIsolate:
         )
         assert dmin > 0.05
 
+    def test_neighbour_root_not_taken_twice(self):
+        # Newton from one box's centre converges to a root just outside it;
+        # that root belongs to the neighbouring box, and this box's own root
+        # (-1.4027 - 4.1544i) must still be found
+        m, n = 3, 2
+        s = DelaySystem(DelayGains(-0.06421001777942204, 0.05494595750728648), m / n, Rational(m, n))
+        rect = ComplexRect(-3, 0.537991373047992, -10, 10)
+        lams = [r.lam for r in isolate_and_refine(s, rect)]
+        assert min(abs(a - b) for i, a in enumerate(lams) for b in lams[i + 1 :]) > 1e-3
+        expected = [
+            -n * (np.log(abs(z)) + 1j * (np.angle(z) + 2 * np.pi * k))
+            for z in disk_roots(reduce_to_polynomial(s)).roots
+            for k in range(-2, 3)
+        ]
+        expected = [lam for lam in expected if rect.contains(lam)]
+        assert len(lams) == len(expected) == 11
+        for lam in lams:
+            assert min(abs(lam - e) for e in expected) < 1e-8
+
 
 # ---------------------------------------------------------------- abscissa & caps
 
