@@ -3,6 +3,9 @@
 
 Example:
     python scripts/region_scan.py --taus 2/1,4/1,3/1,3/2 --lo -1.5 --hi 1.5 --step 0.01 -o regions.csv
+
+A gain whose classification fails is reported on stderr and left out of the
+CSV; the scan goes on and the script exits 1.
 """
 
 import argparse
@@ -27,12 +30,18 @@ def main() -> int:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["tau", "c", "state", "closed_form_lower", "closed_form_upper"])
     steps = int(round((args.hi - args.lo) / args.step))
+    failed = 0
     for tau_text in args.taus.split(","):
         rat = Rational.from_string(tau_text)
         region = stability_region(rat.value, CharKind.CASCADE_EQUAL_GAINS)
         for i in range(steps + 1):
             c = round(args.lo + i * args.step, 12)
-            verdict = classify(equal_gain_system(c, rat.value, rat))
+            try:
+                verdict = classify(equal_gain_system(c, rat.value, rat))
+            except (ValueError, ArithmeticError) as exc:
+                print(f"ERROR tau={tau_text} c={c:.12g}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                failed += 1
+                continue
             writer.writerow(
                 [
                     tau_text,
@@ -44,7 +53,7 @@ def main() -> int:
             )
     if fh is not sys.stdout:
         fh.close()
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

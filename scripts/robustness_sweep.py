@@ -3,7 +3,8 @@
 
 Checks the exclusion/existence sandwich C1/|eps| <= lambda_eps <= (S_eps+1) pi
 row by row and prints whether eps * lambda_eps stays bounded (it should: the
-destabilising mode frequency scales like 1/|eps|).
+destabilising mode frequency scales like 1/|eps|).  Exits 1 when any row
+failed (printed as ERROR).
 
     python scripts/robustness_sweep.py --base 2 --c -0.3 --eps 0.1,0.05,0.02,0.01
 """
@@ -35,7 +36,7 @@ def main() -> int:
         lam = "absent" if row.lambda_eps is None else f"{row.lambda_eps:.4f}"
         el = "" if row.eps_lambda_eps is None else f"{row.eps_lambda_eps:.4f}"
         print(f"{row.eps:>8} {lam:>12} {el:>10} {str(row.low_freq_clear):>6} {lo:>10.4f} {hi:>10.4f}")
-    return 0
+    return 1 if any(row.error for row in rows) else 0
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ Produces plot-ready CSV (one row per root) for a sweep of gains at a fixed
 rational delay, e.g. to watch the root lines cross the imaginary axis:
 
     python scripts/spectrum_portrait.py --tau 2/1 --gains -1.2:0.2:0.1 --im-max 20 -o portrait.csv
+
+A gain whose roots cannot be located is reported on stderr and left out of
+the CSV; the sweep goes on and the script exits 1.
 """
 
 import argparse
@@ -31,18 +34,25 @@ def main() -> int:
     fh = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["c", "re", "im", "residual", "multiplicity"])
+    failed = 0
     for c in np.arange(lo, hi + 0.5 * step, step):
         c = float(round(c, 12))
         sysd = equal_gain_system(c, rat.value, rat)
-        rect = ComplexRect(args.re_min, re_bound(sysd), 1e-3, args.im_max)
-        for rec in isolate_and_refine(sysd, rect):
+        try:
+            rect = ComplexRect(args.re_min, re_bound(sysd), 1e-3, args.im_max)
+            found = isolate_and_refine(sysd, rect)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"ERROR c={c:.12g}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed += 1
+            continue
+        for rec in found:
             writer.writerow(
                 [f"{c:.12g}", f"{rec.lam.real:.12g}", f"{rec.lam.imag:.12g}",
                  f"{rec.residual:.3e}", rec.multiplicity]
             )
     if fh is not sys.stdout:
         fh.close()
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

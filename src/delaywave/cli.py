@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -354,10 +355,15 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The process's one parser; ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -186,6 +186,8 @@ def expsum_sample_hint(es: ExpSum, rect: ComplexRect) -> int:
 def count_in_disk(p) -> int:
     """Zeros of the polynomial ``p`` in the open unit disk, by winding.
 
+    Only the nonzero terms a_k z^k are evaluated, as a_k exp(2 pi i k t), so
+    a sample costs O(terms), not O(degree), and memory stays O(samples).
     Raises :class:`OnContourZero` when p has a root on (or numerically on)
     the unit circle.
     """
@@ -193,7 +195,13 @@ def count_in_disk(p) -> int:
         if p.coeffs[0] == 0.0:
             raise ValueError("zero polynomial")
         return 0
-    return _winding(p, lambda t: np.exp(2j * np.pi * t), max(65, 8 * p.degree + 1), 1e-12)
+    a = np.asarray(p.coeffs)
+    k = np.flatnonzero(a)
+
+    def on_circle(t):
+        return sum(a[j] * np.exp(2j * np.pi * j * t) for j in k)
+
+    return _winding(on_circle, lambda t: t, max(65, 8 * p.degree + 1), 1e-12)
 
 
 def count_in_strip(sys: DelaySystem, a: int, b: int, re_max: Optional[float] = None) -> int:
@@ -311,12 +319,12 @@ def isolate_and_refine(
     rng = np.random.default_rng(0xC0417)
     k, rect = _winding_with_retries(func, rect, rng, n0=expsum_sample_hint(func, rect))
     out: List[RootRecord] = []
-    _isolate(func, dfunc, d2func, rect, k, 0, max_depth, resid_tol, rng, out)
+    _isolate(func, dfunc, d2func, rect, k, 0, max_depth, resid_tol, out)
     out.sort(key=lambda r: (r.lam.imag, r.lam.real))
     return out
 
 
-def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, rng, out) -> None:
+def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, out) -> None:
     if k == 0:
         return
     # Newton may wander up to pad outside the box, but a root is accepted
@@ -362,8 +370,8 @@ def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, rng, out
             continue
         if k1 + k2 != k:
             continue
-        _isolate(func, dfunc, d2func, r1, k1, depth + 1, max_depth, resid_tol, rng, out)
-        _isolate(func, dfunc, d2func, r2, k2, depth + 1, max_depth, resid_tol, rng, out)
+        _isolate(func, dfunc, d2func, r1, k1, depth + 1, max_depth, resid_tol, out)
+        _isolate(func, dfunc, d2func, r2, k2, depth + 1, max_depth, resid_tol, out)
         return
     raise OnContourZero(f"could not split {rect} without touching a root")
 

@@ -110,17 +110,18 @@ def reduce_to_polynomial(sys: DelaySystem) -> PolyReal:
 def disk_roots(p: PolyReal, tol: float = 1e-9) -> DiskRootReport:
     """All roots of ``p`` via the companion matrix, classified by modulus.
 
-    One Newton polish per root; roots with | |z| - 1 | < tol count as on the
-    unit circle.  A degree-0 polynomial yields the empty report.
+    One Newton polish per root, kept only where it is finite (p'(z) = 0, or
+    a huge root from a nearly vanishing leading coefficient overflowing p);
+    roots with | |z| - 1 | < tol count as on the unit circle.  A degree-0
+    polynomial yields the empty report.
     """
     if p.degree == 0:
         return DiskRootReport((), 0, 0, 0, p.stripped_leading)
     roots = np.roots(p.coeffs[::-1]).astype(complex)
     dcoef = p.derivative_coeffs()
-    pv = np.polyval(p.coeffs[::-1], roots)
-    dv = np.polyval(dcoef[::-1], roots)
-    ok = np.abs(dv) > 0
-    roots[ok] = roots[ok] - pv[ok] / dv[ok]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        polished = roots - np.polyval(p.coeffs[::-1], roots) / np.polyval(dcoef[::-1], roots)
+    roots = np.where(np.isfinite(polished), polished, roots)
     mod = np.abs(roots)
     on = np.abs(mod - 1.0) < tol
     inside = (~on) & (mod < 1.0)

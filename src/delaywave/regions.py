@@ -6,6 +6,13 @@ imaginary axis) are the only places the count of destabilising roots can
 jump.  This module enumerates those critical sets, gives the sign of the
 root-modulus (or real-part) derivative across them, and assembles the
 closed-form stability regions together with the master classifier.
+
+Two oracles answer two questions.  :func:`classify` gives the three-way
+state with a witness, so it needs the roots: a companion solve of the disk
+polynomial, capped at degree ``_MAX_REDUCED_DEGREE``.  The bisection in
+:func:`region_boundaries_bisect` needs only stable or not: below degree
+``_WINDING_MIN_DEGREE`` the companion solve answers, from there up a disk
+count by winding, O(terms) per sample and without a degree cap.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .chareq import (
     g_expsum,
     rational_from_float,
 )
-from .contour import _first_unstable_root, _newton
+from .contour import OnContourZero, _first_unstable_root, _newton, count_in_disk
 from .polyform import PolyReal, StabilityState, reduce_to_polynomial, stability_from_poly
 
 __all__ = [
@@ -55,6 +62,13 @@ __all__ = [
 
 # reduced disk polynomials beyond this degree are refused (companion solve cost)
 _MAX_REDUCED_DEGREE = 2500
+
+# from this degree up the stable-or-not question is answered by a disk count,
+# below it by the companion solve, which is then the faster of the two
+_WINDING_MIN_DEGREE = 64
+
+# roots with |z| < 1 + _DISK_BAND are on or inside the disk (disk_roots' tolerance)
+_DISK_BAND = 1e-9
 
 
 class SearchExhausted(ArithmeticError):
@@ -397,6 +411,24 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
     return StabilityVerdict(ps.state, _newton(f, f.derivative(), -n * np.log(complex(z)), 4))
 
 
+def _disk_stable(p: PolyReal) -> bool:
+    """True iff ``p`` has no zero with |z| <= 1 + 1e-9, the STABLE verdict.
+
+    Below degree ``_WINDING_MIN_DEGREE`` the companion oracle answers; from
+    there up the zeros of p(rho z), rho = 1 + 1e-9, are counted in the unit
+    disk by winding.  A contour contact puts a zero within rounding of the
+    band edge and counts as not stable.
+    """
+    if p.degree < _WINDING_MIN_DEGREE:
+        return stability_from_poly(p, _DISK_BAND).state is StabilityState.STABLE
+    a = np.asarray(p.coeffs)
+    scaled = PolyReal.from_coeffs(a * (1.0 + _DISK_BAND) ** np.arange(a.size))
+    try:
+        return count_in_disk(scaled) == 0
+    except OnContourZero:
+        return False
+
+
 def region_boundaries_bisect(
     tau: float,
     kind: CharKind,
@@ -404,22 +436,19 @@ def region_boundaries_bisect(
     scan: Tuple[float, float, float] = (-3.0, 3.0, 0.05),
     tau_rational=None,
 ) -> Optional[Tuple[float, float]]:
-    """Oracle-backed region endpoints: bisect the classifier over the gain.
+    """Oracle-backed region endpoints: bisect the stable-or-not verdict over the gain.
 
     Returns (lower, upper) to within ``tol``, or None when no stable gain is
     found on the scan grid.  Independent of the closed-form window, which it
-    is used to cross-check.
+    is used to cross-check.  Each step asks only whether the disk polynomial
+    is stable (:func:`_disk_stable`): no roots, witness or degree cap.
     """
-    if tau_rational is None:
-        rat = rational_from_float(tau)
-    else:
-        rat = tau_rational
-
     system = equal_gain_system if kind is CharKind.CASCADE_EQUAL_GAINS else direct_feedback_system
+    # tau must reduce to m/n; without one this raises as classify does
+    rat = _rational_system(system(0.0, tau, tau_rational)).tau_rational
 
     def stable(c: float) -> bool:
-        verdict = classify(system(c, tau, rat))
-        return verdict.state is StabilityState.STABLE
+        return _disk_stable(reduce_to_polynomial(system(c, tau, rat)))
 
     closed = stability_region(tau, kind)
     c0 = None

@@ -196,6 +196,16 @@ class TestUsage:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    def test_usage_error_leaves_no_parser_state(self, capsys):
+        # the parser is built once per process; a call that fails after
+        # parsing --format csv must not change the next call's default (json)
+        valid = ("region", "--tau", "4/1", "--kind", "direct")
+        alone = run(capsys, *valid)
+        code, out, _ = run(capsys, "region", "--tau", "4/1", "--format", "csv", "--scan=0:1:0")
+        assert code == 1 and out == ""
+        assert run(capsys, *valid)[:2] == alone[:2]
+        assert alone[0] == 0 and json.loads(alone[1])["command"] == "region"
+
 
 class TestBadInput:
     """Bad input is a usage error (exit 1), never a numerical failure (exit 2)."""

@@ -23,7 +23,7 @@ from delaywave.contour import (
     spectral_abscissa,
     winding_rect,
 )
-from delaywave.polyform import disk_roots, reduce_to_polynomial
+from delaywave.polyform import PolyReal, disk_roots, reduce_to_polynomial
 
 
 def equal_sys(m, n, c):
@@ -99,6 +99,18 @@ class TestCountInDisk:
             p = reduce_to_polynomial(equal_sys(m, n, c))
             r = disk_roots(p)
             if p.degree == 0 or min(abs(abs(z) - 1) for z in r.roots) < 1e-6:
+                continue
+            assert count_in_disk(p) == r.count_inside
+            done += 1
+
+    def test_dense_polynomials_match_roots(self):
+        # every coefficient nonzero: the sparse evaluation sums all terms
+        rng = np.random.default_rng(11)
+        done = 0
+        while done < 40:
+            p = PolyReal.from_coeffs(rng.uniform(-2.0, 2.0, int(rng.integers(2, 13))))
+            r = disk_roots(p)
+            if min(abs(abs(z) - 1) for z in r.roots) < 1e-6:
                 continue
             assert count_in_disk(p) == r.count_inside
             done += 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,18 @@ class TestDiskRoots:
     def test_degree_zero(self):
         r = disk_roots(PolyReal.from_coeffs([2.0]))
         assert r.roots == () and r.count_inside == 0
+
+    def test_huge_root_polish_stays_quiet(self):
+        # tau = 41/20 at c = -1.07e-14: the top coefficient 2c puts one root at
+        # |z| = 4.7e13, where the Newton polish overflows; that root keeps its
+        # unpolished value and is counted outside
+        p = equal_poly(41, 20, -1.0658141036401503e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = disk_roots(p)
+        assert np.all(np.isfinite(r.roots))
+        assert r.count_inside + r.count_on + r.count_outside == p.degree == 41
+        assert r.count_outside == 1 and r.count_inside == 0
 
 
 # ---------------------------------------------------------------- Jury test

@@ -1,11 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
-from delaywave.chareq import CharKind, Rational, equal_gain_system, eval_char
+from delaywave import regions
+from delaywave.chareq import CharKind, DelayGains, DelaySystem, Rational, equal_gain_system, eval_char
 from delaywave.contour import count_in_disk
-from delaywave.polyform import StabilityState, reduce_to_polynomial
+from delaywave.polyform import PolyReal, StabilityState, disk_roots, reduce_to_polynomial, stability_from_poly
 from delaywave.regions import (
     RegionSpec,
     SearchExhausted,
@@ -359,3 +363,74 @@ class TestBisectedBoundaries:
 
     def test_empty_region_returns_none(self):
         assert region_boundaries_bisect(3.0, CharKind.CASCADE_EQUAL_GAINS) is None
+
+
+class TestStableOracle:
+    """``_disk_stable`` answers the bisection's one question: companion roots
+    below ``_WINDING_MIN_DEGREE``, a disk count of p(rho z) from there up."""
+
+    BAND = 1.0 + 1e-9
+    # gains on a 1e-6 grid: the leading coefficient c1 - c2 is 0 or at least
+    # 1e-6; below about 1e-18 the companion reference misplaces every root
+    GAIN = st.integers(-2_000_000, 2_000_000).map(lambda k: k / 1e6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 198), GAIN, GAIN)
+    def test_agrees_with_disk_roots(self, n, m, c1, c2):
+        assume(m + 2 * n <= 200 and math.gcd(m, n) == 1)
+        p = reduce_to_polynomial(DelaySystem(DelayGains(c1, c2), m / n, Rational(m, n)))
+        assume(p.degree > 0)
+        event("winding" if p.degree >= regions._WINDING_MIN_DEGREE else "companion")
+        rep = disk_roots(p)
+        # within rounding of the band edge the two oracles may legitimately differ
+        assume(min(abs(abs(z) - self.BAND) for z in rep.roots) > 1e-6)
+        expected = stability_from_poly(p).state is StabilityState.STABLE
+        assert regions._disk_stable(p) == expected
+        a = np.asarray(p.coeffs)
+        scaled = PolyReal.from_coeffs(a * self.BAND ** np.arange(a.size))
+        assert count_in_disk(scaled) == rep.count_inside + rep.count_on
+
+    @pytest.mark.parametrize("tau", [regions._WINDING_MIN_DEGREE - 2, regions._WINDING_MIN_DEGREE])
+    def test_both_sides_of_the_crossover(self, tau):
+        # 1 + 2c z^tau + z^2, degree tau, inside and outside the closed-form window
+        w = stability_region(float(tau), CharKind.CASCADE_EQUAL_GAINS)
+        for c, stable in ((0.5 * (w.lower + w.upper), True), (w.upper + 0.5 * (w.upper - w.lower), False)):
+            p = reduce_to_polynomial(equal_gain_system(c, float(tau), Rational(tau, 1)))
+            assert p.degree == tau
+            assert stability_from_poly(p).state is (StabilityState.STABLE if stable else StabilityState.UNSTABLE)
+            assert regions._disk_stable(p) == stable
+
+    def test_circle_roots_are_not_stable(self):
+        # z^64 + 1: every root on |z| = 1, inside the band
+        a = np.zeros(regions._WINDING_MIN_DEGREE + 1)
+        a[[0, -1]] = 1.0
+        assert not regions._disk_stable(PolyReal.from_coeffs(a))
+
+
+class TestBisectionAtHighDegree:
+    """Bisection by the disk count stays within tol of the closed form, fast."""
+
+    def test_tau_400_both_kinds(self):
+        t0 = time.perf_counter()
+        for kind in (CharKind.CASCADE_EQUAL_GAINS, CharKind.DIRECT_DELAY_FEEDBACK):
+            lo, hi = region_boundaries_bisect(400.0, kind, tol=1e-7)
+            w = stability_region(400.0, kind)
+            assert abs(lo - w.lower) < 1e-7 and abs(hi - w.upper) < 1e-7
+        assert time.perf_counter() - t0 < 3.0
+
+    def test_tau_2000(self):
+        t0 = time.perf_counter()
+        lo, hi = region_boundaries_bisect(2000.0, CharKind.CASCADE_EQUAL_GAINS, tol=1e-7)
+        w = stability_region(2000.0, CharKind.CASCADE_EQUAL_GAINS)
+        assert abs(lo - w.lower) < 1e-7 and abs(hi - w.upper) < 1e-7
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_beyond_classify_degree_cap(self):
+        # degree 2501 > _MAX_REDUCED_DEGREE: classify refuses, the bisection does not
+        with pytest.raises(ValueError):
+            classify(equal_gain_system(0.1, 1251 / 625, Rational(1251, 625)))
+        assert region_boundaries_bisect(1251 / 625, CharKind.CASCADE_EQUAL_GAINS) is None
+
+    def test_no_rational_form_still_refused(self):
+        with pytest.warns(UserWarning), pytest.raises(ValueError):
+            region_boundaries_bisect(math.pi, CharKind.CASCADE_EQUAL_GAINS)
