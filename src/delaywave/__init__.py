@@ -50,6 +50,7 @@ from .regions import (
     branch_sign_strip,
     classify,
     critical_set_E,
+    crossing_state,
     find_pos_neg_cos,
     hale_two_delay,
     nearest_boundary,

@@ -203,15 +203,27 @@ class ExpSum:
         kept = sorted((a, c) for a, c in merged.items() if c != 0)
         return cls(tuple(c for _, c in kept), tuple(a for a, _ in kept))
 
+    def _shift(self, lam):
+        top = np.max(np.array(self.rates) * np.real(lam)[..., None], axis=-1) if self.rates else 0.0
+        return np.where(np.abs(top) > _EXP_GUARD, top, 0.0)
+
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        rates = np.array(self.rates)
-        top = np.max(rates * np.real(lam)[..., None], axis=-1) if self.rates else 0.0
-        shift = np.where(np.abs(top) > _EXP_GUARD, top, 0.0)
+        shift = self._shift(lam)
         out = np.zeros(lam.shape, dtype=complex)
         for c, a in zip(self.coefs, self.rates):
             out += c * np.exp(a * lam - shift)
         return out
+
+    def magnitude(self, lam):
+        """sum_j |coef_j exp(rate_j lam)|, rescaled exactly as the sum is at ``lam``.
+
+        The size of the terms that cancel in a zero, so |sum| / magnitude is
+        the relative residual of an approximate root.
+        """
+        lam = np.asarray(lam, dtype=complex)
+        shift = self._shift(lam)
+        return sum(abs(c) * np.exp(a * lam.real - shift) for c, a in zip(self.coefs, self.rates))
 
     def derivative(self) -> "ExpSum":
         return ExpSum.of([(c * a, a) for c, a in zip(self.coefs, self.rates)])

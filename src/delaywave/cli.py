@@ -152,9 +152,12 @@ def cmd_region(args) -> int:
         scan_rows = []
         for i in range(int(round((hi - lo) / step)) + 1):
             c = round(lo + i * step, 12)
-            sysd = system(c, tau, rat)
-            verdict = regions.classify(sysd, treat_as_irrational=args.treat_as_irrational)
-            scan_rows.append((c, verdict.state.value))
+            if args.treat_as_irrational:
+                state = regions.classify(system(c, tau, rat), treat_as_irrational=True).state
+            else:
+                # the bisection above resolved tau to m/n; a row needs only the state
+                state = regions.one_gain_state(kind, rat.num, rat.den, c)
+            scan_rows.append((c, state.value))
     if args.format == "json":
         payload = {
             "schema": SCHEMA,

@@ -308,7 +308,9 @@ def isolate_and_refine(
 
     Rectangles are bisected until each piece holds winding <= 1 (or a
     certified double root); Newton finishes the job with a bisection
-    fallback whenever it strays outside its box.  Multiplicity 2 is
+    fallback whenever it strays outside its box.  A root is accepted when
+    |f| < ``resid_tol`` * max(1, sum_j |coef_j e^{rate_j lam}|), a backward
+    error; its record keeps the absolute |f|.  Multiplicity 2 is
     assigned by refining the zero of the derivative and checking that the
     residual of the function there is below what two double-precision
     simple roots could produce.
@@ -324,6 +326,14 @@ def isolate_and_refine(
     return out
 
 
+def _backward_tol(func, z, resid_tol) -> float:
+    """Residual below which ``z`` is accepted as a root: ``resid_tol`` relative
+    to the size of the terms that cancel there, and never below ``resid_tol``.
+    Far to the right the terms grow like e^{2 Re z}, and an absolute bound is
+    out of reach of double precision."""
+    return resid_tol * max(1.0, float(func.magnitude(z)))
+
+
 def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, out) -> None:
     if k == 0:
         return
@@ -334,7 +344,7 @@ def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, out) -> 
         z = _newton(func, dfunc, rect.center, 80, rect, pad)
         if z is not None and rect.contains(z, 1e-9):
             res = abs(complex(func(z)))
-            if res < resid_tol:
+            if res < _backward_tol(func, z, resid_tol):
                 out.append(RootRecord(z, res, 1))
                 return
     if k == 2:
@@ -343,7 +353,7 @@ def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, out) -> 
             fz = abs(complex(func(zd)))
             f2 = abs(complex(d2func(zd)))
             sep = math.sqrt(2.0 * fz / f2) if f2 > 0 else math.inf
-            if sep < 1e-7 and fz < resid_tol:
+            if sep < 1e-7 and fz < _backward_tol(func, zd, resid_tol):
                 out.append(RootRecord(zd, fz, 2))
                 return
     if k > 2 and rect.diag < 1e-7:

@@ -7,16 +7,23 @@ jump.  This module enumerates those critical sets, gives the sign of the
 root-modulus (or real-part) derivative across them, and assembles the
 closed-form stability regions together with the master classifier.
 
-Two oracles answer two questions.  :func:`classify` gives the three-way
-state with a witness, so it needs the roots: a companion solve of the disk
-polynomial, capped at degree ``_MAX_REDUCED_DEGREE``.  The bisection in
-:func:`region_boundaries_bisect` needs only stable or not: below degree
-``_WINDING_MIN_DEGREE`` the companion solve answers, from there up a disk
-count by winding, O(terms) per sample and without a degree cap.
+Each disk question has one oracle.  For the one-gain loops (equal gains,
+direct feedback) :func:`crossing_state` counts the zeros inside the unit
+disk exactly from the sign changes of Im z^{-n} P on the circle, which sit
+at rational multiples of pi: no roots and no degree cap.  It answers the
+stable-or-not question of :func:`region_boundaries_bisect`, the state of
+:func:`classify`, and with it `delaywave region --scan`; a MARGINAL witness
+is its exact circle zero.  The companion solve of the disk polynomial
+(capped at degree ``_MAX_REDUCED_DEGREE``) runs only for an UNSTABLE
+witness and for the two-gain cascade.  The winding count behind
+:func:`_disk_stable` (from degree ``_WINDING_MIN_DEGREE``) serves generic
+polynomials and is the reference the crossing count is tested against.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -56,6 +63,8 @@ __all__ = [
     "find_pos_neg_cos",
     "stability_region",
     "hale_two_delay",
+    "crossing_state",
+    "one_gain_state",
     "classify",
     "region_boundaries_bisect",
 ]
@@ -69,6 +78,12 @@ _WINDING_MIN_DEGREE = 64
 
 # roots with |z| < 1 + _DISK_BAND are on or inside the disk (disk_roots' tolerance)
 _DISK_BAND = 1e-9
+
+# a gain c within _CROSSING_ETA * max(1, |c|) of a crossing gain c_k puts a zero on
+# the circle.  The c_k are exact to a few ulp, so this is rounding slack on the
+# gain; _DISK_BAND is slack on the modulus of companion roots, which moves a
+# boundary by up to 1e-9 / |d|z|/dc|, orders of magnitude more.
+_CROSSING_ETA = 1e-12
 
 
 class SearchExhausted(ArithmeticError):
@@ -117,21 +132,41 @@ def _dedup_sorted(values, tol=1e-12) -> tuple:
     return tuple(out)
 
 
+def _cos_pi(num, den: int) -> np.ndarray:
+    """cos(num * pi / den) for integers ``num`` (scalar or array) and den > 0.
+
+    The angle is reduced in integers to sin(j pi / (2 den)) with |j| <= den,
+    so a zero comes out exactly 0 and a small value keeps its relative
+    accuracy; cos(x) of the unreduced float angle loses both once num/den
+    is large (2e-13 absolute at tau = 2000).
+    """
+    j = (den - 2 * np.asarray(num, dtype=np.int64)) % (4 * den)  # cos x = sin(pi/2 - x)
+    j = np.where(j > 2 * den, j - 4 * den, j)
+    j = np.where(j > den, 2 * den - j, np.where(j < -den, -2 * den - j, j))  # sin x = sin(pi - x)
+    return np.sin(j * (np.pi / (2 * den)))
+
+
+def _equal_gain_crossings(m: int, n: int) -> np.ndarray:
+    """-cos(m k pi / |m-n|), k < 2|m-n|: the gains at which a root crosses
+    the circle at exp(i k pi / |m-n|).  0.0 - x turns -0.0 into 0.0."""
+    d = abs(m - n)
+    return 0.0 - _cos_pi(m * np.arange(2 * d), d)
+
+
 def critical_set_E(m: int, n: int, validate: bool = False) -> CriticalSet:
     """Gains for which the equal-gain disk polynomial has a unit-circle root.
 
     For coprime m != n the set is { -cos(m k pi / |m-n|) : k } together with
-    0 (the circle roots at angles (2k+1)pi/(2n) all map to gain 0).  With
-    ``validate=True`` each value is certified to admit a unit-circle root
-    and a fine angular scan checks that no value is missing.
+    0 (the circle roots at angles (2k+1)pi/(2n) all map to gain 0).  The
+    values are bit for bit the crossing gains of :func:`crossing_state`.
+    With ``validate=True`` each value is certified to admit a unit-circle
+    root and a fine angular scan checks that no value is missing.
     """
     if m <= 0 or n <= 0 or math.gcd(m, n) != 1:
         raise ValueError("m, n must be coprime positive integers")
     if m == n:
         raise ValueError("tau = 1 is handled by its dedicated analysis")
-    d = abs(m - n)
-    vals = [0.0] + [-math.cos(m * k * math.pi / d) for k in range(2 * d)]
-    values = _dedup_sorted(vals)
+    values = _dedup_sorted([0.0, *_equal_gain_crossings(m, n).tolist()])
     cs = CriticalSet(values, "E_mn")
     if validate:
         _validate_critical_set(cs, m, n)
@@ -164,7 +199,7 @@ def _sign_change_zeros(f, x) -> List[float]:
 def _validate_critical_set(cs: CriticalSet, m: int, n: int) -> None:
     # certify: each value vanishes at its generating circle angle
     d = abs(m - n)
-    pairs = [(-math.cos(m * k * math.pi / d), k * math.pi / d) for k in range(2 * d)]
+    pairs = [(v, k * math.pi / d) for k, v in enumerate(_equal_gain_crossings(m, n).tolist())]
     pairs += [(0.0, (2 * k + 1) * math.pi / (2 * n)) for k in range(2 * n)]
     for v, th in pairs:
         if abs(_disk_poly(m, n, v)(np.exp(1j * th))) >= 1e-9:
@@ -358,6 +393,128 @@ def hale_two_delay(a1: float, a2: float, a3: float) -> bool:
     return (1.0 + a1 > abs(a2 + a3)) and (1.0 - a1 > abs(a2 - a3))
 
 
+@dataclass(frozen=True)
+class _Crossings:
+    """The crossing count of one (kind, m, n) as a step function of the gain.
+
+    On the circle z = e^{i theta} write z^{-n} P = R + i c I with R, I real
+    and c the gain.  At each sign change theta_k of I, R has the sign of
+    side_k (c - g_k), and where R < 0 the curve crosses the negative real
+    axis, adding sgn(c) turn_k to the winding.  With the g_k sorted, a crossing with
+    side -1 counts below c and one with side +1 above it, so prefix sums
+    over the sorted order give the count on every interval between gains.
+    """
+
+    gains: memoryview  # g_k, ascending
+    theta: memoryview  # theta_k in (-pi, pi], in the same order
+    below: memoryview  # below[i]: sum of turn_k over k < i with side_k = -1
+    above: memoryview  # above[i]: sum of turn_k over k >= i with side_k = +1
+    down: memoryview  # down[i]: number of k < i with turn_k = -1
+    up: memoryview  # up[i]: number of k < i with turn_k = +1
+    fixed: int  # winding / sgn(c) from the zeros of I at which R never vanishes
+
+
+def _crossing_angles(num: np.ndarray, den: int) -> np.ndarray:
+    """num pi / den for integers ``num``, reduced to (-pi, pi]."""
+    r = num % (2 * den)
+    return np.where(r > den, r - 2 * den, r) * (np.pi / den)
+
+
+def _frozen(values: np.ndarray) -> memoryview:
+    """A read-only view whose items index as Python scalars, so that the
+    ``bisect`` module searches it fast, at 8 bytes an item."""
+    values = np.ascontiguousarray(values)
+    values.flags.writeable = False
+    return memoryview(values)
+
+
+def _prefix(values: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
+
+
+@functools.lru_cache(maxsize=256)
+def _crossing_table(kind: CharKind, m: int, n: int) -> _Crossings:
+    if kind is CharKind.CASCADE_EQUAL_GAINS:
+        # R = 2cos(n th) + 2c cos((m-n) th), I = 2 sin((m-n) th): simple zeros at k pi / d
+        d = abs(m - n)
+        k = np.arange(2 * d)
+        side = 1 - 2 * (k % 2)
+        gains, turn, theta, fixed = _equal_gain_crossings(m, n), -np.sign(m - n) * side, _crossing_angles(k, d), 0
+    else:
+        # R = 2cos(n th) + 2k sin(n th) sin(m th), I = -2 sin(n th) cos(m th); where
+        # sin(n th) = cos(m th) = 0 the zero of I is double and adds nothing
+        j = np.arange(1, 2 * n, 2)  # sin(n th) = 0 with R = -2: the odd j of j pi / n
+        fixed = -int(np.sign(_cos_pi(m * j, n)).sum())
+        a = n * np.arange(1, 4 * m, 2)  # cos(m th) = 0 at th = (2i+1) pi / (2m); n th = a pi / (2m)
+        a = a[a % (2 * m) != 0]
+        sin_a, cos_a = _cos_pi(m - a, 2 * m), _cos_pi(a, 2 * m)
+        alt = 1 - 2 * ((a // n // 2) % 2)  # (-1)^i = sin(m th)
+        side = alt * np.sign(sin_a).astype(int)
+        gains, turn, theta = 0.0 - alt * cos_a / sin_a, -side, _crossing_angles(a // n, 2 * m)
+    order = np.argsort(gains, kind="stable")
+    gains, side, turn, theta = gains[order], side[order], turn[order], theta[order]
+    return _Crossings(
+        _frozen(gains),
+        _frozen(theta),
+        _frozen(_prefix(np.where(side < 0, turn, 0))),
+        _frozen(_prefix(np.where(side > 0, turn, 0)[::-1])[::-1]),
+        _frozen(_prefix(turn < 0)),
+        _frozen(_prefix(turn > 0)),
+        fixed,
+    )
+
+
+def _crossings(kind: CharKind, m: int, n: int, c: float) -> Tuple[int, Optional[float]]:
+    """(zeros strictly inside, least-|theta| circle zero or None); see :func:`crossing_state`."""
+    if kind is CharKind.CASCADE_EQUAL_GAINS and m == n:
+        # tau = 1: 1 + 2c z + z^2, both zeros on the circle iff |c| <= 1, else one inside
+        if abs(c) <= 1.0 + _CROSSING_ETA:
+            return 0, math.acos(min(1.0, max(-1.0, -c)))
+        return 1, None
+    if abs(c) <= _CROSSING_ETA:
+        # P = z^(2n) + 1: every zero near the circle, the nearest to 1 at pi / (2n)
+        return 0, math.pi / (2 * n)
+    t = _crossing_table(kind, m, n)
+    s = 1 if c > 0 else -1
+    band = _CROSSING_ETA * max(1.0, abs(c))
+    lo, hi = bisect.bisect_left(t.gains, c - band), bisect.bisect_right(t.gains, c + band)
+    # gains lo..hi-1 put a zero on the circle; it leaves the disk on one side of
+    # its gain, and counts as there: -1 where s turn_k = -1, else 0
+    leaving = t.down if s > 0 else t.up
+    inside = n + s * (t.fixed + t.below[lo] + t.above[hi]) - (leaving[hi] - leaving[lo])
+    if lo == hi:
+        return inside, None
+    return inside, min(t.theta[lo:hi], key=abs)
+
+
+def crossing_state(kind: CharKind, m: int, n: int, c: float) -> Tuple[int, bool]:
+    """(zeros strictly inside the unit disk, whether a zero is on the circle)
+    of the disk polynomial of a one-gain loop with gain ``c`` at tau = m/n.
+
+    Exact crossing count: with z^{-n} P = R + iI on z = e^{i theta}, the
+    zeros inside are n + sum over the sign changes theta_k of I with
+    R(theta_k) < 0 of -sgn I'(theta_k).  The theta_k are rational multiples
+    of pi, so R(theta_k) changes sign at gains known in closed form (for
+    equal gains the values of :func:`critical_set_E`); a zero is on the
+    circle when ``c`` lies within ``_CROSSING_ETA`` * max(1, |c|) of one.
+    The gains and prefix sums of the count are built once per (kind, m, n)
+    in O((m + n) log(m + n)); a query is two binary searches, with no roots
+    and no degree cap.
+    """
+    if kind is CharKind.CASCADE_FULL:
+        raise ValueError("the crossing count covers the one-gain variants only")
+    inside, theta = _crossings(kind, m, n, c)
+    return inside, theta is not None
+
+
+def one_gain_state(kind: CharKind, m: int, n: int, c: float) -> StabilityState:
+    """The state :func:`classify` gives a one-gain loop, without its witness."""
+    inside, on = crossing_state(kind, m, n, c)
+    if inside:
+        return StabilityState.UNSTABLE
+    return StabilityState.MARGINAL if on else StabilityState.STABLE
+
+
 def _rational_system(sys: DelaySystem) -> DelaySystem:
     if sys.tau_rational is not None:
         return sys
@@ -375,8 +532,13 @@ def _rational_system(sys: DelaySystem) -> DelaySystem:
 def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVerdict:
     """Three-way stability verdict with an explicit unstable/marginal witness.
 
-    Rational delays go through the disk-polynomial oracle; the witness is a
-    located root mapped back by lam = -n log z and Newton-polished.  With
+    Rational delays go through the disk polynomial.  For the one-gain loops
+    the exact crossing count (:func:`crossing_state`) gives the state: a
+    STABLE verdict solves nothing, a MARGINAL witness is the exact circle
+    zero, and only an UNSTABLE witness takes the companion root of least
+    modulus (capped at degree ``_MAX_REDUCED_DEGREE``).  The two-gain
+    cascade takes state and witness from the companion roots.  A witness
+    z is mapped back by lam = -n log z and Newton-polished.  With
     ``treat_as_irrational`` the two-delay criterion applies (it always fails
     for this family: the e^{-2 lam} coefficient is -1), and the witness is
     produced by a winding scan over strips of height pi.
@@ -392,23 +554,43 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
             raise WitnessSearchExhausted("no unstable root in the first 64 strips")
         return StabilityVerdict(StabilityState.UNSTABLE, lam)
     rsys = _rational_system(sys)
+    if rsys.kind is CharKind.CASCADE_FULL:
+        return _companion_verdict(rsys)
     m, n = rsys.tau_rational.num, rsys.tau_rational.den
+    inside, theta = _crossings(rsys.kind, m, n, rsys.c2)
+    if inside:
+        return _companion_verdict(rsys, StabilityState.UNSTABLE)
+    if theta is None:
+        return StabilityVerdict(StabilityState.STABLE, None)
+    # the exact circle zero e^{i theta}: lam = -n log z = -i n theta
+    return _polished(rsys, StabilityState.MARGINAL, complex(0.0, -n * theta))
+
+
+def _polished(sys: DelaySystem, state: StabilityState, lam: complex) -> StabilityVerdict:
+    f = char_expsum(sys)
+    return StabilityVerdict(state, _newton(f, f.derivative(), lam, 4))
+
+
+def _companion_verdict(sys: DelaySystem, state: Optional[StabilityState] = None) -> StabilityVerdict:
+    """Verdict from the companion roots of the disk polynomial; a ``state``
+    already known is kept, and the roots give only its witness."""
+    m, n = sys.tau_rational.num, sys.tau_rational.den
     if m + 2 * n > _MAX_REDUCED_DEGREE:
         raise ValueError(
             f"reduced polynomial degree {m + 2 * n} exceeds {_MAX_REDUCED_DEGREE}; "
             "use a coarser rational delay or the irrational path"
         )
-    ps = stability_from_poly(reduce_to_polynomial(rsys))
-    if ps.state is StabilityState.STABLE:
+    ps = stability_from_poly(reduce_to_polynomial(sys))
+    state = state or ps.state
+    if state is StabilityState.STABLE:
         return StabilityVerdict(StabilityState.STABLE, None)
     roots = np.asarray(ps.report.roots)
-    if ps.state is StabilityState.UNSTABLE:
+    if state is StabilityState.UNSTABLE:
         z = roots[np.argmin(np.abs(roots))]
     else:
         on = roots[np.abs(np.abs(roots) - 1.0) < 1e-9]
         z = on[np.argmin(np.abs(np.angle(on)))]
-    f = char_expsum(rsys)
-    return StabilityVerdict(ps.state, _newton(f, f.derivative(), -n * np.log(complex(z)), 4))
+    return _polished(sys, state, -n * np.log(complex(z)))
 
 
 def _disk_stable(p: PolyReal) -> bool:
@@ -441,14 +623,15 @@ def region_boundaries_bisect(
     Returns (lower, upper) to within ``tol``, or None when no stable gain is
     found on the scan grid.  Independent of the closed-form window, which it
     is used to cross-check.  Each step asks only whether the disk polynomial
-    is stable (:func:`_disk_stable`): no roots, witness or degree cap.
+    is stable, and the exact crossing count (:func:`crossing_state`)
+    answers: no polynomial, roots, witness or degree cap.
     """
     system = equal_gain_system if kind is CharKind.CASCADE_EQUAL_GAINS else direct_feedback_system
     # tau must reduce to m/n; without one this raises as classify does
     rat = _rational_system(system(0.0, tau, tau_rational)).tau_rational
 
     def stable(c: float) -> bool:
-        return _disk_stable(reduce_to_polynomial(system(c, tau, rat)))
+        return one_gain_state(kind, rat.num, rat.den, c) is StabilityState.STABLE
 
     closed = stability_region(tau, kind)
     c0 = None

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -53,6 +54,27 @@ class TestRegion:
         states = {row["c"]: row["state"] for row in rows}
         assert states["-0.6"] == "stable"
         assert states["0.2"] == "unstable"
+
+    def test_scan_keeps_circle_only_gain_marginal(self, capsys):
+        # z^4 + z^2 + 1 has only circle zeros; the grid's 0.5 and the crossing
+        # gain -cos(4 pi / 3) differ by rounding, not by a crossing
+        code, out, _ = run(capsys, "region", "--tau", "4/1", "--scan=-0.5:0.5:0.05")
+        assert code == 0
+        states = {row["c"]: row["state"] for row in json.loads(out)["scan"]}
+        assert states[0.5] == "marginal" and states[0.0] == "marginal" and states[0.25] == "stable"
+
+    @pytest.mark.parametrize("kind", ["cascade", "direct"])
+    def test_scan_beyond_companion_degree(self, capsys, kind):
+        # degree 40001: no window for a non-even delay, and no degree cap
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "region", "--tau", "20001/10000", "--kind", kind, "--scan=-0.5:0.5:0.05")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["closed_form"]["empty"] and payload["bisected"] is None
+        states = {row["c"]: row["state"] for row in payload["scan"]}
+        assert len(states) == 21 and states.pop(0.0) == "marginal"
+        assert set(states.values()) == {"unstable"}
 
     def test_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -247,6 +269,14 @@ class TestUlpRational:
         assert code == 0
         code, exact, _ = run(capsys, "region", "--tau", "3/10")
         assert code == 0 and json.loads(near) == json.loads(exact)
+
+    def test_far_right_roots_have_no_error_row(self, capsys):
+        # base 0, eps = 0.01 sqrt(2): the roots sit near Re 49, where the
+        # terms of the characteristic function are about e^98
+        code, out, _ = run(capsys, "sweep-eps", "--base", "0", "--c", "1", "--eps", "0.0141421356")
+        assert code == 0
+        (row,) = csv.DictReader(out.splitlines())
+        assert row["error"] == "" and float(row["lambda_eps"]) == pytest.approx(222.144, abs=1e-3)
 
     def test_sweep_row_has_no_error(self, capsys):
         code, out, _ = run(capsys, "sweep-eps", "--base", "2", "--c", "-0.3", "--eps=-0.14")

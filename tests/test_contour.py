@@ -244,6 +244,25 @@ class TestIsolate:
         )
         assert dmin > 0.05
 
+    def test_far_right_root_accepted_by_backward_error(self):
+        # tau = 0.01 sqrt(2), c = 1: a root near Re 49, where the terms of
+        # f are about e^98 and |f| at the rounded root is about 4e28
+        s = equal_gain_system(1.0, 0.01 * math.sqrt(2))
+        f = char_expsum(s)
+        (rec,) = isolate_and_refine(s, ComplexRect(-1e-9, re_bound(s), 200, 240))
+        assert rec.lam == pytest.approx(49.0129071734 + 222.1441469079j, abs=1e-8)
+        assert rec.residual == abs(complex(f(rec.lam)))  # the record keeps the absolute |f|
+        assert rec.residual < 1e-10 * float(f.magnitude(rec.lam))
+
+    def test_magnitude_is_the_size_of_the_terms(self):
+        f = char_expsum(equal_sys(3, 2, 0.4))
+        lam = 0.3 + 2.0j
+        expected = sum(abs(c) * math.exp(a * lam.real) for c, a in zip(f.coefs, f.rates))
+        assert float(f.magnitude(lam)) == pytest.approx(expected, rel=1e-14)
+        # rescaled like the sum itself where the exponents would overflow
+        far = 700.0 + 1.0j
+        assert abs(complex(f(far))) / float(f.magnitude(far)) <= 1.0 + 1e-12
+
     def test_neighbour_root_not_taken_twice(self):
         # Newton from one box's centre converges to a root just outside it;
         # that root belongs to the neighbouring box, and this box's own root

@@ -7,7 +7,15 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from delaywave import regions
-from delaywave.chareq import CharKind, DelayGains, DelaySystem, Rational, equal_gain_system, eval_char
+from delaywave.chareq import (
+    CharKind,
+    DelayGains,
+    DelaySystem,
+    Rational,
+    direct_feedback_system,
+    equal_gain_system,
+    eval_char,
+)
 from delaywave.contour import count_in_disk
 from delaywave.polyform import PolyReal, StabilityState, disk_roots, reduce_to_polynomial, stability_from_poly
 from delaywave.regions import (
@@ -434,3 +442,99 @@ class TestBisectionAtHighDegree:
     def test_no_rational_form_still_refused(self):
         with pytest.warns(UserWarning), pytest.raises(ValueError):
             region_boundaries_bisect(math.pi, CharKind.CASCADE_EQUAL_GAINS)
+
+
+class TestCrossingState:
+    """The exact crossing count against the companion reference."""
+
+    SYSTEM = {CharKind.CASCADE_EQUAL_GAINS: equal_gain_system, CharKind.DIRECT_DELAY_FEEDBACK: direct_feedback_system}
+    KINDS = tuple(SYSTEM)
+
+    def poly(self, kind, m, n, c):
+        return reduce_to_polynomial(self.SYSTEM[kind](c, m / n, Rational(m, n)))
+
+    @staticmethod
+    def crossing_gains(kind, m, n):
+        """Every gain with a zero on the circle: the table's and c = 0."""
+        return sorted({0.0, *regions._crossing_table(kind, m, n).gains})
+
+    # gains on a 1e-6 grid: below about 1e-18 the companion misplaces the
+    # zeros (the leading coefficient of the direct polynomial is -c)
+    GAIN = st.integers(-3_000_000, 3_000_000).map(lambda k: k / 1e6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(1, 60), st.integers(1, 198), GAIN)
+    def test_agrees_with_companion_count(self, kind, n, m, c):
+        assume(m + 2 * n <= 200 and math.gcd(m, n) == 1)
+        rep = disk_roots(self.poly(kind, m, n, c))
+        # away from the circle, where the companion's 1e-9 band decides nothing
+        assume(min(abs(abs(z) - 1.0) for z in rep.roots) > 1e-6)
+        event(kind.name)
+        assert regions.crossing_state(kind, m, n, c) == (rep.count_inside, False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(1, 30), st.integers(1, 98))
+    def test_critical_gains_split_like_the_companion(self, kind, n, m):
+        assume(m + 2 * n <= 100 and math.gcd(m, n) == 1 and m != n)
+        for c in self.crossing_gains(kind, m, n):
+            ps = stability_from_poly(self.poly(kind, m, n, c))
+            inside, on = regions.crossing_state(kind, m, n, c)
+            assert on, (kind, m, n, c)
+            assert inside == ps.report.count_inside, (kind, m, n, c)
+            assert regions.one_gain_state(kind, m, n, c) is ps.state, (kind, m, n, c)
+
+    @pytest.mark.parametrize("m, n", [(4, 1), (3, 2), (7, 3), (41, 20), (2000, 1), (1, 7)])
+    def test_critical_set_is_the_crossing_gains_bit_for_bit(self, m, n):
+        values = set(critical_set_E(m, n).values)
+        assert values == set(self.crossing_gains(CharKind.CASCADE_EQUAL_GAINS, m, n))
+
+    def test_window_endpoints_are_crossing_gains(self):
+        eta = regions._CROSSING_ETA
+        for tau in range(2, 2001, 2):
+            for kind in self.KINDS:
+                gains = np.array(self.crossing_gains(kind, tau, 1))
+                w = stability_region(float(tau), kind)
+                for c in (w.lower, w.upper):
+                    assert np.min(np.abs(gains - c)) <= eta * max(1.0, abs(c)), (tau, kind, c)
+                    assert regions.one_gain_state(kind, tau, 1, c) is StabilityState.MARGINAL, (tau, kind, c)
+                    if tau <= 64:
+                        v = classify(self.SYSTEM[kind](c, float(tau)))
+                        assert v.state is StabilityState.MARGINAL and abs(v.witness.real) < 1e-9
+
+    def test_marginal_witness_is_a_circle_root(self):
+        for kind, system in self.SYSTEM.items():
+            for m, n in ((4, 1), (7, 3), (41, 20), (64, 1)):
+                gains = [c for c in self.crossing_gains(kind, m, n) if regions.crossing_state(kind, m, n, c)[0] == 0]
+                assert gains
+                for c in gains:
+                    s = system(c, m / n, Rational(m, n))
+                    v = classify(s)
+                    assert v.state is StabilityState.MARGINAL
+                    assert abs(v.witness.real) < 1e-9
+                    assert abs(eval_char(s, v.witness)) < 1e-9 * max(1.0, abs(c))
+
+    def test_zero_gain_is_marginal(self):
+        for kind in self.KINDS:
+            for m, n in ((2, 1), (3, 2), (20001, 10000)):
+                assert regions.crossing_state(kind, m, n, 0.0) == (0, True)
+
+    def test_tau_one(self):
+        # 1 + 2c z + z^2: both zeros on the circle for |c| <= 1, else one inside
+        kind = CharKind.CASCADE_EQUAL_GAINS
+        assert regions.crossing_state(kind, 1, 1, 0.7) == (0, True)
+        assert regions.crossing_state(kind, 1, 1, -1.0) == (0, True)
+        assert regions.crossing_state(kind, 1, 1, 1.2) == (1, False)
+
+    def test_no_degree_cap(self):
+        # degree 40001: classify states without a companion solve, STABLE and MARGINAL alike
+        t0 = time.perf_counter()
+        for kind, system in self.SYSTEM.items():
+            assert regions.one_gain_state(kind, 20001, 10000, 0.1) is StabilityState.UNSTABLE
+            v = classify(system(0.0, 20001 / 10000, Rational(20001, 10000)))
+            assert v.state is StabilityState.MARGINAL and abs(v.witness.real) < 1e-9
+        assert classify(equal_gain_system(0.5 * stability_region(2000.0, CharKind.CASCADE_EQUAL_GAINS).upper, 2000.0)).state is StabilityState.STABLE
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_full_cascade_rejected(self):
+        with pytest.raises(ValueError):
+            regions.crossing_state(CharKind.CASCADE_FULL, 3, 2, 0.1)

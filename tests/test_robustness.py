@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ class TestLambdaEps:
     def test_eps_zero_rejected(self):
         with pytest.raises(ValueError):
             find_lambda_eps(PerturbationCase(2.0, 0.0, -0.3))
+
+    def test_far_right_roots_accepted(self):
+        # roots near Re = ln(2c)/eps + ... = 49, where |f| ~ 1e-10 is out of
+        # reach: a root is accepted on its residual relative to the terms
+        case = PerturbationCase(0.0, 0.01 * math.sqrt(2), 1.0)
+        t0 = time.perf_counter()
+        val = find_lambda_eps(case)
+        assert time.perf_counter() - t0 < 2.0
+        b = bounds_for(case)
+        assert b.C1 / case.epsilon <= val <= (b.S_eps + 1) * PI
+        assert val == pytest.approx(222.1441469, abs=1e-6)
 
 
 # ---------------------------------------------------------------- witness

@@ -18,11 +18,10 @@ def run_script(name, *args):
 
 
 def test_robustness_sweep_failed_row_exits_1():
-    # base 0, eps = 0.01*sqrt(2): the roots sit near Re 49, beyond the
-    # absolute residual tolerance, and the row fails with MaxDepthExceeded
-    r = run_script("robustness_sweep.py", "--base", "0", "--c", "1", "--eps", "0.0141421356,0.1")
+    # eps = 1e-4 puts the clearance rectangle above its height cap of 1e4
+    r = run_script("robustness_sweep.py", "--base", "2", "--c", "-0.5", "--eps", "0.0001,0.1")
     assert r.returncode == 1
-    assert "ERROR MaxDepthExceeded" in r.stdout
+    assert "ERROR ValueError" in r.stdout
     assert "     0.1 " in r.stdout  # the rows after the failure are still printed
 
 
@@ -32,8 +31,9 @@ def test_robustness_sweep_clean_run_exits_0():
 
 
 def test_region_scan_failed_gain_exits_1():
-    # 2501/1 exceeds classify's degree cap; the 2/1 rows are still written
-    r = run_script("region_scan.py", "--taus", "2/1,2501/1", "--lo", "-0.5", "--hi", "0", "--step", "0.25")
+    # an unstable 2501/1 needs a companion witness beyond classify's degree
+    # cap (c = 0 is marginal, with no cap); the 2/1 rows are still written
+    r = run_script("region_scan.py", "--taus", "2/1,2501/1", "--lo", "-0.75", "--hi", "-0.25", "--step", "0.25")
     assert r.returncode == 1
     assert r.stdout.count("\n2/1,") == 3 and "2501/1," not in r.stdout
     assert r.stderr.count("ERROR tau=2501/1") == 3
