@@ -14,6 +14,7 @@ the eigenfunctions, and the resolvent of the closed-loop generator.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -186,10 +187,13 @@ def direct_feedback_system(k: float, tau: float, tau_rational: Optional[Rational
 class ExpSum:
     """Finite sum  sum_j coef_j * exp(rate_j * lam)  of complex exponentials.
 
-    Evaluation is vectorised over ``lam``.  When any rate*Re(lam) would
-    overflow, the whole sum is rescaled by exp(-M) with M the largest real
-    exponent; the rescaling factor is real positive, so zeros, arguments and
-    winding numbers are unchanged.
+    A Python or NumPy scalar ``lam`` is summed term by term with ``cmath``
+    and returns a NumPy complex scalar; an array ``lam`` is evaluated
+    vectorised.  When some rate*Re(lam) exceeds ``_EXP_GUARD`` in size, the
+    sum at that point is rescaled by exp(-M) with M the largest real
+    exponent; the rescaling factor is real positive, so zeros, arguments
+    and winding numbers are unchanged.  An array whose max|Re lam| *
+    max|rate| stays within the guard is summed unscaled.
     """
 
     coefs: tuple
@@ -203,13 +207,32 @@ class ExpSum:
         kept = sorted((a, c) for a, c in merged.items() if c != 0)
         return cls(tuple(c for _, c in kept), tuple(a for a, _ in kept))
 
-    def _shift(self, lam):
-        top = np.max(np.array(self.rates) * np.real(lam)[..., None], axis=-1) if self.rates else 0.0
+    def _shift(self, re):
+        """Rescaling exponent at the real part(s) ``re``: the largest
+        rate*re where its size exceeds the guard, else 0.  Rates are sorted,
+        so the largest sits at an end.  A plain 0.0 means no point needs it.
+        """
+        if not self.rates:
+            return 0.0
+        lo, hi = self.rates[0], self.rates[-1]
+        if isinstance(re, float):
+            top = hi * re if re >= 0.0 else lo * re
+            return top if abs(top) > _EXP_GUARD else 0.0
+        if np.max(np.abs(re), initial=0.0) * max(abs(lo), abs(hi)) <= _EXP_GUARD:
+            return 0.0
+        top = np.maximum(lo * re, hi * re)
         return np.where(np.abs(top) > _EXP_GUARD, top, 0.0)
 
     def __call__(self, lam):
+        if isinstance(lam, (complex, float, int, np.number)):
+            lam = complex(lam)
+            shift = self._shift(lam.real)
+            total = 0j
+            for c, a in zip(self.coefs, self.rates):
+                total += c * cmath.exp(a * lam - shift)
+            return np.complex128(total)
         lam = np.asarray(lam, dtype=complex)
-        shift = self._shift(lam)
+        shift = self._shift(lam.real)
         out = np.zeros(lam.shape, dtype=complex)
         for c, a in zip(self.coefs, self.rates):
             out += c * np.exp(a * lam - shift)
@@ -221,9 +244,9 @@ class ExpSum:
         The size of the terms that cancel in a zero, so |sum| / magnitude is
         the relative residual of an approximate root.
         """
-        lam = np.asarray(lam, dtype=complex)
-        shift = self._shift(lam)
-        return sum(abs(c) * np.exp(a * lam.real - shift) for c, a in zip(self.coefs, self.rates))
+        re = np.real(lam)
+        shift = self._shift(re)
+        return sum(abs(c) * np.exp(a * re - shift) for c, a in zip(self.coefs, self.rates))
 
     def derivative(self) -> "ExpSum":
         return ExpSum.of([(c * a, a) for c, a in zip(self.coefs, self.rates)])

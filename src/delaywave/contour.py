@@ -4,7 +4,9 @@ Every winding number comes from one argument tracker over a closed path
 t in [0, 1] -> z: the four edges of a rectangle, a quarter of t each, or
 the unit circle exp(2 pi i t).  Steps that turn by pi/2 or more are bisected
 until none is left, which pins the branch of the argument, and the count is
-repeated at doubled initial density until two rounds agree.  Since the
+repeated at doubled initial density until two rounds agree; each doubling
+round reuses the uniform samples of the round before and evaluates only the
+midpoints between them.  Since the
 tracked functions are analytic, the winding equals the number of enclosed
 zeros counted with multiplicity.  A contour that touches a zero raises
 :class:`OnContourZero`; a rectangle the caller may move is dilated with
@@ -99,14 +101,13 @@ class RootRecord:
     multiplicity: int
 
 
-def _track(func, path, n, zero_tol, max_pass=60) -> float:
+def _track(func, path, t, w, zero_tol, max_pass=60) -> float:
     """Total change of arg func along ``path(t)``, t from 0 to 1.
 
-    Starts from n uniform samples of t and bisects every step that turns by
-    pi/2 or more; only the new samples are evaluated.
+    Starts from the samples ``w = func(path(t))`` at the sorted parameters
+    ``t`` and bisects every step that turns by pi/2 or more; only the new
+    samples are evaluated.
     """
-    t = np.linspace(0.0, 1.0, n)
-    w = func(path(t))
     for _ in range(max_pass):
         if np.any(np.abs(w) < zero_tol):
             raise OnContourZero("|func| below tolerance on contour")
@@ -125,17 +126,27 @@ def _winding(func, path, n, zero_tol) -> int:
 
     Principal-value tracking alone can settle on an aliased count when a
     coarse step hides a full turn, so the count is recomputed at doubled
-    initial density until two consecutive rounds agree.
+    initial density until two consecutive rounds agree.  Each doubling
+    round keeps the previous round's n uniform samples and evaluates only
+    the n - 1 midpoints between them.
     """
+    t = np.linspace(0.0, 1.0, n)
+    w = func(path(t))
     k_prev = None
     for _ in range(8):
-        turns = _track(func, path, n, zero_tol) / (2.0 * np.pi)
+        if k_prev is not None:
+            n = 2 * n - 1
+            t = np.linspace(0.0, 1.0, n)
+            w_old, w = w, np.empty(n, dtype=w.dtype)
+            w[::2] = w_old
+            w[1::2] = func(path(t[1::2]))
+        turns = _track(func, path, t, w, zero_tol) / (2.0 * np.pi)
         k = round(turns)
         if abs(turns - k) > 0.25:
             raise OnContourZero(f"non-integer winding {turns:.3f}")
         if k == k_prev:
             return k
-        k_prev, n = k, 2 * n - 1
+        k_prev = k
     raise OnContourZero("winding did not stabilise under sample doubling")
 
 
@@ -253,6 +264,8 @@ def re_bound(sys: DelaySystem) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if gap(mid) <= 0.0:
             lo = mid
         else:
@@ -334,22 +347,29 @@ def _backward_tol(func, z, resid_tol) -> float:
     return resid_tol * max(1.0, float(func.magnitude(z)))
 
 
-def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, out) -> None:
-    if k == 0:
-        return
+def _newton_in_box(func, dfunc, rect):
+    """Newton from the centre of ``rect``: its limit when it lies in the
+    box, else None."""
     # Newton may wander up to pad outside the box, but a root is accepted
     # only inside it: one just outside belongs to a neighbouring box
     pad = 1e-9 + 0.05 * rect.diag
+    z = _newton(func, dfunc, rect.center, 80, rect, pad)
+    return z if z is not None and rect.contains(z, 1e-9) else None
+
+
+def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, out) -> None:
+    if k == 0:
+        return
     if k == 1:
-        z = _newton(func, dfunc, rect.center, 80, rect, pad)
-        if z is not None and rect.contains(z, 1e-9):
+        z = _newton_in_box(func, dfunc, rect)
+        if z is not None:
             res = abs(complex(func(z)))
             if res < _backward_tol(func, z, resid_tol):
                 out.append(RootRecord(z, res, 1))
                 return
     if k == 2:
-        zd = _newton(dfunc, d2func, rect.center, 80, rect, pad)
-        if zd is not None and rect.contains(zd, 1e-9):
+        zd = _newton_in_box(dfunc, d2func, rect)
+        if zd is not None:
             fz = abs(complex(func(zd)))
             f2 = abs(complex(d2func(zd)))
             sep = math.sqrt(2.0 * fz / f2) if f2 > 0 else math.inf

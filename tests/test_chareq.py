@@ -13,6 +13,7 @@ from delaywave.chareq import (
     NotACharRoot,
     QuadratureTooCoarse,
     Rational,
+    char_expsum,
     direct_feedback_system,
     eigenfunction,
     equal_gain_system,
@@ -140,6 +141,74 @@ class TestEvalChar:
         vals = eval_char(s, lams)
         assert vals.shape == (3,)
         assert vals[0] == pytest.approx(eval_char(s, 0.0))
+
+
+def _system(kind, c1, c2, tau):
+    gains = {
+        CharKind.CASCADE_FULL: DelayGains(c1, c2),
+        CharKind.CASCADE_EQUAL_GAINS: DelayGains(c1, c1),
+        CharKind.DIRECT_DELAY_FEEDBACK: DelayGains(0.0, c2),
+    }[kind]
+    return DelaySystem(gains, tau, kind=kind)
+
+
+def _vector_reference(f, lam):
+    """The array evaluation with the per-point shift always computed over
+    every rate (the form before the guard-free path)."""
+    lam = np.asarray(lam, dtype=complex)
+    top = np.max(np.array(f.rates) * lam.real[..., None], axis=-1)
+    shift = np.where(np.abs(top) > 600.0, top, 0.0)
+    out = np.zeros(lam.shape, dtype=complex)
+    for c, a in zip(f.coefs, f.rates):
+        out += c * np.exp(a * lam - shift)
+    return out
+
+
+# real parts near the origin and beyond the overflow guard on both sides
+_re_parts = st.one_of(finite, st.floats(100, 400), st.floats(-400, -100))
+
+
+class TestExpSumPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(list(CharKind)),
+        finite,
+        finite,
+        st.floats(min_value=0.1, max_value=5),
+        st.lists(st.tuples(_re_parts, st.floats(-60, 60)), min_size=1, max_size=6),
+    )
+    def test_scalar_and_vector_agree(self, kind, c1, c2, tau, points):
+        f = char_expsum(_system(kind, c1, c2, tau))
+        lams = np.array([complex(re, im) for re, im in points])
+        vec = f(lams)
+        for lam, v in zip(lams, vec):
+            for arg in (lam, complex(lam)):
+                sc = f(arg)
+                assert isinstance(sc, np.complex128)
+                assert abs(sc - v) <= 1e-14 * float(f.magnitude(arg))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(list(CharKind)),
+        finite,
+        finite,
+        st.floats(min_value=0.1, max_value=5),
+        st.lists(st.tuples(_re_parts, st.floats(-60, 60)), min_size=0, max_size=6),
+    )
+    def test_vector_path_matches_reference(self, kind, c1, c2, tau, points):
+        # the guard is skipped only where the shift would be 0 everywhere,
+        # so the output is bit-identical to always computing it
+        f = char_expsum(_system(kind, c1, c2, tau))
+        lams = np.array([complex(re, im) for re, im in points], dtype=complex)
+        assert np.array_equal(f(lams), _vector_reference(f, lams))
+
+    def test_scalar_path_under_overflow_trap(self):
+        for kind in CharKind:
+            f = char_expsum(_system(kind, 0.7, -0.4, 1.3))
+            with np.errstate(over="raise", invalid="raise"):
+                for lam in (800.0 + 3.0j, -800.0 + 1.0j, np.complex128(650.0 - 2.0j), np.float64(-700.0), 900):
+                    v = f(lam)
+                    assert np.isfinite(v) and abs(v) <= float(f.magnitude(lam)) * (1 + 1e-12)
 
 
 class TestEvalG:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaywave.chareq import (
+    CharKind,
     DelayGains,
     DelaySystem,
     Rational,
     char_expsum,
+    direct_feedback_system,
     equal_gain_system,
     eval_char,
 )
@@ -17,6 +21,7 @@ from delaywave.contour import (
     OnContourZero,
     count_in_disk,
     count_in_strip,
+    expsum_sample_hint,
     isolate_and_refine,
     min_unstable_imag,
     re_bound,
@@ -63,6 +68,39 @@ class TestWindingRect:
     def test_degenerate_rect_rejected(self):
         with pytest.raises(ValueError):
             ComplexRect(1, 1, 0, 2)
+
+    def test_doubling_round_evaluates_only_midpoints(self):
+        # a simple zero well inside: no step turns by pi/2, so the count
+        # settles in two rounds without bisection
+        points = []
+
+        def func(z):
+            points.append(z.size)
+            return z - (0.1 + 0.2j)
+
+        n0 = 17
+        assert winding_rect(func, ComplexRect(-1, 1, -1, 1), n0=n0) == 1
+        N = 4 * (n0 - 1) + 1
+        assert points == [N, N - 1]
+
+    @pytest.mark.parametrize(
+        "sysd, box, expected",
+        [
+            (equal_sys(2, 1, -0.25), (-1, 1, 0.5, 2.5), 1),
+            (equal_sys(4, 1, 0.6), (-0.7, 0.9, 0.1, 6.0), 4),
+            (equal_sys(3, 2, -0.5), (-1.5, 0.5, 0.1, 12.0), 4),
+            (DelaySystem(DelayGains(0.3, -0.2), 1.37), (-3.0, 1.0, -20.0, 20.0), 20),
+            (DelaySystem(DelayGains(-0.6, -0.2), 1.5, Rational(3, 2)), (-2.0, 0.5, 0.05, 30.0), 17),
+            (direct_feedback_system(0.5, 1.5), (-2.0, 1.0, -15.0, 15.0), 17),
+            (direct_feedback_system(-0.8, 0.7), (-1.0, 2.0, 0.3, 40.0), 17),
+        ],
+    )
+    def test_counts_on_fixtures(self, sysd, box, expected):
+        # counts of the engine that re-evaluated every sample in each round
+        f = char_expsum(sysd)
+        rect = ComplexRect(*box)
+        for n0 in (17, expsum_sample_hint(f, rect)):
+            assert winding_rect(f, rect, n0=n0) == expected
 
 
 class TestCountInDisk:
@@ -387,3 +425,44 @@ class TestReBound:
 
     def test_zero_gain(self):
         assert re_bound(equal_sys(2, 1, 0.0)) == pytest.approx(0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(list(CharKind)),
+        st.floats(-3, 3),
+        st.floats(-3, 3),
+        st.floats(0.05, 8),
+    )
+    def test_matches_full_length_bisection(self, kind, c1, c2, tau):
+        gains = {
+            CharKind.CASCADE_FULL: DelayGains(c1, c2),
+            CharKind.CASCADE_EQUAL_GAINS: DelayGains(c1, c1),
+            CharKind.DIRECT_DELAY_FEEDBACK: DelayGains(0.0, c2),
+        }[kind]
+        s = DelaySystem(gains, tau, kind=kind)
+        es = char_expsum(s)
+        if len(es.rates) <= 1:
+            assert re_bound(s) == 0.5
+            return
+        rest = [(abs(c), a) for c, a in zip(es.coefs[:-1], es.rates[:-1])]
+
+        def gap(x):
+            vals = [math.log(c) + a * x for c, a in rest]
+            top = max(vals)
+            total = top + math.log(sum(math.exp(v - top) for v in vals))
+            return math.log(abs(es.coefs[-1])) + es.rates[-1] * x - total
+
+        if gap(0.0) > 0.0:
+            assert re_bound(s) == 0.5
+            return
+        hi = 1.0
+        while gap(hi) <= 0.0:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if gap(mid) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert re_bound(s) == hi + 0.5
