@@ -12,6 +12,7 @@ error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -74,6 +75,7 @@ def _delay(hint: str):
 
 
 _POSITIVE_INT = _arg(int, lambda v: v > 0, "a positive integer")
+_NONZERO_INT = _arg(int, lambda v: v != 0, "a nonzero integer")
 _POSITIVE = _arg(float, lambda v: math.isfinite(v) and v > 0, "a positive number")
 _FINITE = _arg(float, math.isfinite, "a finite number")
 _MAX_SCAN_POINTS = 10**5
@@ -103,32 +105,28 @@ def _kind(name: str) -> CharKind:
     return {"cascade": CharKind.CASCADE_EQUAL_GAINS, "direct": CharKind.DIRECT_DELAY_FEEDBACK}[name]
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _out(path: Optional[str]):
+    """The output stream: stdout for None or '-', else the file at ``path``."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _write_csv(path, header, rows):
-    fh, close = _open_out(path)
-    try:
+    with _out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(v) if not isinstance(v, str) else v for v in row])
-    finally:
-        if close:
-            fh.close()
 
 
 def _write_json(path, payload):
-    fh, close = _open_out(path)
-    try:
+    with _out(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _jsonable(x):
@@ -197,8 +195,11 @@ def cmd_region(args) -> int:
 
 def cmd_roots(args) -> int:
     tau, rat = _parse_tau(args)
+    try:
+        rect = contour.ComplexRect(*args.rect)
+    except ValueError as exc:
+        raise UsageError(f"--rect: {exc}")
     sysd = DelaySystem(DelayGains(args.c1, args.c2), tau, rat, CharKind.CASCADE_FULL)
-    rect = contour.ComplexRect(*args.rect)
     roots = contour.isolate_and_refine(sysd, rect)
     rows = [(r.lam.real, r.lam.imag, r.residual, r.multiplicity) for r in roots]
     _write_csv(args.output, ["re", "im", "residual", "multiplicity"], rows)
@@ -214,16 +215,14 @@ def cmd_count(args) -> int:
         count = contour.count_in_disk(polyform.reduce_to_polynomial(sysd))
     else:
         a, b = args.strip
-        count = contour.count_in_strip(sysd, int(a), int(b))
+        if a >= b:
+            raise UsageError("--strip needs A < B")
+        count = contour.count_in_strip(sysd, a, b)
     if args.format == "json":
         _write_json(args.output, {"schema": SCHEMA, "command": "count", "count": count})
     else:
-        fh, close = _open_out(args.output)
-        try:
+        with _out(args.output) as fh:
             fh.write(f"{count}\n")
-        finally:
-            if close:
-                fh.close()
     return 0
 
 
@@ -277,6 +276,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_critical(args) -> int:
+    if math.gcd(args.m, args.n) != 1:
+        raise UsageError("--m and --n must be coprime")
     cs = regions.critical_set_E(args.m, args.n, validate=args.validate)
     _write_csv(args.output, ["c"], [(v,) for v in cs.values])
     return 0
@@ -304,14 +305,14 @@ def build_parser() -> _Parser:
     add_common(sp, fmt=True)
     sp.add_argument("--kind", choices=["cascade", "direct"], default="cascade")
     sp.add_argument("--scan", type=_SCAN, help="lo:hi:step grid of gains to classify (use --scan=-1:1:0.1 for negative lo)")
-    sp.add_argument("--tol", type=float, default=1e-7, help="bisection tolerance")
+    sp.add_argument("--tol", type=_POSITIVE, default=1e-7, help="bisection tolerance")
 
     sp = sub.add_parser("roots", help="characteristic roots in a rectangle")
     sp.set_defaults(func=cmd_roots)
     add_common(sp)
     sp.add_argument("--c1", type=_FINITE, required=True)
     sp.add_argument("--c2", type=_FINITE, required=True)
-    sp.add_argument("--rect", type=float, nargs=4, required=True, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
+    sp.add_argument("--rect", type=_FINITE, nargs=4, required=True, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
 
     sp = sub.add_parser("count", help="root counts in the disk or a strip")
     sp.set_defaults(func=cmd_count)
@@ -319,7 +320,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--c", type=_FINITE, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--disk", action="store_true")
-    group.add_argument("--strip", type=int, nargs=2, metavar=("A", "B"))
+    group.add_argument("--strip", type=_NONZERO_INT, nargs=2, metavar=("A", "B"))
 
     sp = sub.add_parser("sweep-eps", help="delay-perturbation sweep")
     sp.set_defaults(func=cmd_sweep_eps)
@@ -351,9 +352,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("critical", help="critical gain set for tau = m/n")
     sp.set_defaults(func=cmd_critical)
     add_common(sp, tau=False)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--validate", action="store_true", help="certify and scan for completeness")
+    sp.add_argument("--m", type=_POSITIVE_INT, required=True)
+    sp.add_argument("--n", type=_POSITIVE_INT, required=True)
+    sp.add_argument("--validate", action="store_true", help="certify each value")
 
     return p
 

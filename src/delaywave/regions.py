@@ -15,9 +15,7 @@ stable-or-not question of :func:`region_boundaries_bisect`, the state of
 :func:`classify`, and with it `delaywave region --scan`; a MARGINAL witness
 is its exact circle zero.  The companion solve of the disk polynomial
 (capped at degree ``_MAX_REDUCED_DEGREE``) runs only for an UNSTABLE
-witness and for the two-gain cascade.  The winding count behind
-:func:`_disk_stable` (from degree ``_WINDING_MIN_DEGREE``) serves generic
-polynomials and is the reference the crossing count is tested against.
+witness and for the two-gain cascade.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .chareq import (
     g_expsum,
     rational_from_float,
 )
-from .contour import OnContourZero, _first_unstable_root, _newton, count_in_disk
+from .contour import _first_unstable_root, _newton
 from .polyform import PolyReal, StabilityState, reduce_to_polynomial, stability_from_poly
 
 __all__ = [
@@ -72,17 +70,8 @@ __all__ = [
 # reduced disk polynomials beyond this degree are refused (companion solve cost)
 _MAX_REDUCED_DEGREE = 2500
 
-# from this degree up the stable-or-not question is answered by a disk count,
-# below it by the companion solve, which is then the faster of the two
-_WINDING_MIN_DEGREE = 64
-
-# roots with |z| < 1 + _DISK_BAND are on or inside the disk (disk_roots' tolerance)
-_DISK_BAND = 1e-9
-
 # a gain c within _CROSSING_ETA * max(1, |c|) of a crossing gain c_k puts a zero on
-# the circle.  The c_k are exact to a few ulp, so this is rounding slack on the
-# gain; _DISK_BAND is slack on the modulus of companion roots, which moves a
-# boundary by up to 1e-9 / |d|z|/dc|, orders of magnitude more.
+# the circle: rounding slack on the c_k, which are exact to a few ulp.
 _CROSSING_ETA = 1e-12
 
 
@@ -159,18 +148,27 @@ def critical_set_E(m: int, n: int, validate: bool = False) -> CriticalSet:
     For coprime m != n the set is { -cos(m k pi / |m-n|) : k } together with
     0 (the circle roots at angles (2k+1)pi/(2n) all map to gain 0).  The
     values are bit for bit the crossing gains of :func:`crossing_state`.
-    With ``validate=True`` each value is certified to admit a unit-circle
-    root and a fine angular scan checks that no value is missing.
+    The set is complete: on z = e^{i theta}, Im z^{-n} P = 2c sin((m-n) theta)
+    vanishes only at c = 0 or theta = k pi / |m-n|, where Re z^{-n} P = 0
+    fixes c to the k-th value.  With ``validate=True`` each value is
+    certified: P vanishes, to 1e-9, at its generating circle angle.
     """
     if m <= 0 or n <= 0 or math.gcd(m, n) != 1:
         raise ValueError("m, n must be coprime positive integers")
     if m == n:
         raise ValueError("tau = 1 is handled by its dedicated analysis")
-    values = _dedup_sorted([0.0, *_equal_gain_crossings(m, n).tolist()])
-    cs = CriticalSet(values, "E_mn")
+    crossings = _equal_gain_crossings(m, n)
     if validate:
-        _validate_critical_set(cs, m, n)
-    return cs
+        # pairs (c, theta): the crossings at k pi / d, then 0 at (2k+1) pi / (2n)
+        d = abs(m - n)
+        k, j = np.arange(2 * d), np.arange(1, 4 * n, 2)
+        c = np.concatenate([crossings, np.zeros(j.size)])
+        zm = np.exp(1j * np.concatenate([_crossing_angles(m * k, d), _crossing_angles(m * j, 2 * n)]))
+        z2n = np.exp(1j * np.concatenate([_crossing_angles(2 * n * k, d), _crossing_angles(n * j, n)]))
+        bad = np.flatnonzero(np.abs(1.0 + 2.0 * c * zm + z2n) >= 1e-9)
+        if bad.size:
+            raise ValueError(f"critical value {c[bad[0]]} admits no unit-circle root")
+    return CriticalSet(_dedup_sorted([0.0, *crossings.tolist()]), "E_mn")
 
 
 def _disk_poly(m: int, n: int, c: float) -> PolyReal:
@@ -194,22 +192,6 @@ def _sign_change_zeros(f, x) -> List[float]:
                 a, fa = mid, fm
         out.append(0.5 * (a + b))
     return out
-
-
-def _validate_critical_set(cs: CriticalSet, m: int, n: int) -> None:
-    # certify: each value vanishes at its generating circle angle
-    d = abs(m - n)
-    pairs = [(v, k * math.pi / d) for k, v in enumerate(_equal_gain_crossings(m, n).tolist())]
-    pairs += [(0.0, (2 * k + 1) * math.pi / (2 * n)) for k in range(2 * n)]
-    for v, th in pairs:
-        if abs(_disk_poly(m, n, v)(np.exp(1j * th))) >= 1e-9:
-            raise ValueError(f"critical value {v} admits no unit-circle root")
-    # completeness: real-gain circle crossings solve Im condition
-    theta = np.linspace(0.0, 2.0 * np.pi, 40001)
-    for th0 in _sign_change_zeros(lambda th: np.sin((2 * n - m) * th) - np.sin(m * th), theta):
-        cval = -math.cos(n * th0) * math.cos((n - m) * th0)
-        if min(abs(cval - v) for v in cs.values) > 1e-8:
-            raise ValueError(f"scan found extra critical value {cval}")
 
 
 def critical_set_strip(tau: float, a: int, b: int, grid: int = 40001) -> CriticalSet:
@@ -539,16 +521,12 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
     modulus (capped at degree ``_MAX_REDUCED_DEGREE``).  The two-gain
     cascade takes state and witness from the companion roots.  A witness
     z is mapped back by lam = -n log z and Newton-polished.  With
-    ``treat_as_irrational`` the two-delay criterion applies (it always fails
-    for this family: the e^{-2 lam} coefficient is -1), and the witness is
-    produced by a winding scan over strips of height pi.
+    ``treat_as_irrational`` the verdict is UNSTABLE with the first root a
+    winding scan over strips of height pi finds: the two-delay criterion
+    (:func:`hale_two_delay`) fails at every finite gain, as the e^{-2 lam}
+    coefficient a1 = -1 turns its 1 + a1 > |a2 + a3| into 0 > |a2 + a3|.
     """
     if treat_as_irrational:
-        a1 = -1.0
-        a2 = -(sys.c1 + sys.c2)
-        a3 = -(sys.c1 - sys.c2)
-        if hale_two_delay(a1, a2, a3):
-            return StabilityVerdict(StabilityState.STABLE, None)
         lam = _first_unstable_root(sys, 64 * np.pi)
         if lam is None:
             raise WitnessSearchExhausted("no unstable root in the first 64 strips")
@@ -593,24 +571,6 @@ def _companion_verdict(sys: DelaySystem, state: Optional[StabilityState] = None)
     return _polished(sys, state, -n * np.log(complex(z)))
 
 
-def _disk_stable(p: PolyReal) -> bool:
-    """True iff ``p`` has no zero with |z| <= 1 + 1e-9, the STABLE verdict.
-
-    Below degree ``_WINDING_MIN_DEGREE`` the companion oracle answers; from
-    there up the zeros of p(rho z), rho = 1 + 1e-9, are counted in the unit
-    disk by winding.  A contour contact puts a zero within rounding of the
-    band edge and counts as not stable.
-    """
-    if p.degree < _WINDING_MIN_DEGREE:
-        return stability_from_poly(p, _DISK_BAND).state is StabilityState.STABLE
-    a = np.asarray(p.coeffs)
-    scaled = PolyReal.from_coeffs(a * (1.0 + _DISK_BAND) ** np.arange(a.size))
-    try:
-        return count_in_disk(scaled) == 0
-    except OnContourZero:
-        return False
-
-
 def region_boundaries_bisect(
     tau: float,
     kind: CharKind,
@@ -624,8 +584,11 @@ def region_boundaries_bisect(
     found on the scan grid.  Independent of the closed-form window, which it
     is used to cross-check.  Each step asks only whether the disk polynomial
     is stable, and the exact crossing count (:func:`crossing_state`)
-    answers: no polynomial, roots, witness or degree cap.
+    answers: no polynomial, roots, witness or degree cap.  The bisection
+    stops at adjacent floats, where no midpoint lies strictly between.
     """
+    if not tol >= 0.0:
+        raise ValueError("tol must be a number >= 0")
     system = equal_gain_system if kind is CharKind.CASCADE_EQUAL_GAINS else direct_feedback_system
     # tau must reduce to m/n; without one this raises as classify does
     rat = _rational_system(system(0.0, tau, tau_rational)).tau_rational
@@ -659,13 +622,15 @@ def region_boundaries_bisect(
         raise ArithmeticError("no unstable gain found while expanding")
 
     def bisect(inside: float, outside: float) -> float:
-        while abs(outside - inside) > tol:
-            mid = 0.5 * (inside + outside)
+        mid = 0.5 * (inside + outside)
+        # mid lies in the closed bracket; at adjacent floats it equals an end
+        while abs(outside - inside) > tol and inside != mid != outside:
             if stable(mid):
                 inside = mid
             else:
                 outside = mid
-        return 0.5 * (inside + outside)
+            mid = 0.5 * (inside + outside)
+        return mid
 
     lower = bisect(c0, expand(-1.0))
     upper = bisect(c0, expand(+1.0))

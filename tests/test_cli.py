@@ -253,6 +253,16 @@ class TestBadInput:
             ("roots", "--tau", "2/1", "--c1", "nan", "--c2", "0", "--rect", "-1", "1", "-1", "1"),
             ("roots", "--tau", "2/1", "--c1", "0", "--c2", "inf", "--rect", "-1", "1", "-1", "1"),
             ("region", "--tau", "2/1", "--scan=0:1:1e-12"),
+            ("region", "--tau", "2/1", "--tol", "0"),
+            ("region", "--tau", "2/1", "--tol=-1"),
+            ("region", "--tau", "2/1", "--tol", "nan"),
+            ("roots", "--tau", "2/1", "--c1", "0", "--c2", "0", "--rect", "nan", "0", "0", "1"),
+            ("roots", "--tau", "2/1", "--c1", "0", "--c2", "0", "--rect", "1", "0", "0", "1"),
+            ("count", "--tau", "2/1", "--c", "0.5", "--strip", "0", "1"),
+            ("count", "--tau", "2/1", "--c", "0.5", "--strip", "2", "1"),
+            ("critical", "--m", "0", "--n", "1"),
+            ("critical", "--m", "-3", "--n", "1"),
+            ("critical", "--m", "4", "--n", "2"),
         ],
         ids=lambda argv: " ".join(argv),
     )

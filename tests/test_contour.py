@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delaywave.chareq import (
@@ -140,6 +140,20 @@ class TestCountInDisk:
                 continue
             assert count_in_disk(p) == r.count_inside
             done += 1
+
+    # gains on a 1e-6 grid: the leading coefficient c1 - c2 is 0 or at least
+    # 1e-6; below about 1e-18 the companion reference misplaces every root
+    GAIN = st.integers(-2_000_000, 2_000_000).map(lambda k: k / 1e6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 198), GAIN, GAIN)
+    def test_matches_companion_to_degree_200(self, n, m, c1, c2):
+        assume(m + 2 * n <= 200 and math.gcd(m, n) == 1)
+        p = reduce_to_polynomial(DelaySystem(DelayGains(c1, c2), m / n, Rational(m, n)))
+        assume(p.degree > 0)
+        r = disk_roots(p)
+        assume(min(abs(abs(z) - 1.0) for z in r.roots) > 1e-6)
+        assert count_in_disk(p) == r.count_inside
 
     def test_dense_polynomials_match_roots(self):
         # every coefficient nonzero: the sparse evaluation sums all terms

@@ -17,7 +17,7 @@ from delaywave.chareq import (
     eval_char,
 )
 from delaywave.contour import count_in_disk
-from delaywave.polyform import PolyReal, StabilityState, disk_roots, reduce_to_polynomial, stability_from_poly
+from delaywave.polyform import StabilityState, disk_roots, reduce_to_polynomial, stability_from_poly
 from delaywave.regions import (
     RegionSpec,
     SearchExhausted,
@@ -65,6 +65,19 @@ class TestCriticalSetE:
     def test_validated(self):
         for m, n in [(2, 1), (4, 1), (3, 2), (5, 2), (6, 1)]:
             critical_set_E(m, n, validate=True)
+
+    def test_validation_rejects_a_wrong_value(self, monkeypatch):
+        crossings = regions._equal_gain_crossings
+        monkeypatch.setattr(regions, "_equal_gain_crossings", lambda m, n: crossings(m, n) + 1e-6)
+        with pytest.raises(ValueError, match="admits no unit-circle root"):
+            critical_set_E(4, 1, validate=True)
+
+    def test_validation_is_fast_at_high_degree(self):
+        # degree 4001: one vectorised pass over the 2004 (value, angle) pairs
+        t0 = time.perf_counter()
+        cs = critical_set_E(2001, 1000, validate=True)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(cs.values) == 1003
 
     def test_rejects_tau_one_and_noncoprime(self):
         with pytest.raises(ValueError):
@@ -372,47 +385,16 @@ class TestBisectedBoundaries:
     def test_empty_region_returns_none(self):
         assert region_boundaries_bisect(3.0, CharKind.CASCADE_EQUAL_GAINS) is None
 
+    def test_zero_tol_stops_at_adjacent_floats(self):
+        t0 = time.perf_counter()
+        lo, hi = region_boundaries_bisect(2.0, CharKind.CASCADE_EQUAL_GAINS, tol=0.0)
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(lo + 1.0) < 1e-7 and abs(hi) < 1e-7
 
-class TestStableOracle:
-    """``_disk_stable`` answers the bisection's one question: companion roots
-    below ``_WINDING_MIN_DEGREE``, a disk count of p(rho z) from there up."""
-
-    BAND = 1.0 + 1e-9
-    # gains on a 1e-6 grid: the leading coefficient c1 - c2 is 0 or at least
-    # 1e-6; below about 1e-18 the companion reference misplaces every root
-    GAIN = st.integers(-2_000_000, 2_000_000).map(lambda k: k / 1e6)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 20), st.integers(1, 198), GAIN, GAIN)
-    def test_agrees_with_disk_roots(self, n, m, c1, c2):
-        assume(m + 2 * n <= 200 and math.gcd(m, n) == 1)
-        p = reduce_to_polynomial(DelaySystem(DelayGains(c1, c2), m / n, Rational(m, n)))
-        assume(p.degree > 0)
-        event("winding" if p.degree >= regions._WINDING_MIN_DEGREE else "companion")
-        rep = disk_roots(p)
-        # within rounding of the band edge the two oracles may legitimately differ
-        assume(min(abs(abs(z) - self.BAND) for z in rep.roots) > 1e-6)
-        expected = stability_from_poly(p).state is StabilityState.STABLE
-        assert regions._disk_stable(p) == expected
-        a = np.asarray(p.coeffs)
-        scaled = PolyReal.from_coeffs(a * self.BAND ** np.arange(a.size))
-        assert count_in_disk(scaled) == rep.count_inside + rep.count_on
-
-    @pytest.mark.parametrize("tau", [regions._WINDING_MIN_DEGREE - 2, regions._WINDING_MIN_DEGREE])
-    def test_both_sides_of_the_crossover(self, tau):
-        # 1 + 2c z^tau + z^2, degree tau, inside and outside the closed-form window
-        w = stability_region(float(tau), CharKind.CASCADE_EQUAL_GAINS)
-        for c, stable in ((0.5 * (w.lower + w.upper), True), (w.upper + 0.5 * (w.upper - w.lower), False)):
-            p = reduce_to_polynomial(equal_gain_system(c, float(tau), Rational(tau, 1)))
-            assert p.degree == tau
-            assert stability_from_poly(p).state is (StabilityState.STABLE if stable else StabilityState.UNSTABLE)
-            assert regions._disk_stable(p) == stable
-
-    def test_circle_roots_are_not_stable(self):
-        # z^64 + 1: every root on |z| = 1, inside the band
-        a = np.zeros(regions._WINDING_MIN_DEGREE + 1)
-        a[[0, -1]] = 1.0
-        assert not regions._disk_stable(PolyReal.from_coeffs(a))
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError):
+            region_boundaries_bisect(2.0, CharKind.CASCADE_EQUAL_GAINS, tol=tol)
 
 
 class TestBisectionAtHighDegree:
