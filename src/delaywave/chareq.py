@@ -216,8 +216,7 @@ class ExpSum:
             return 0.0
         lo, hi = self.rates[0], self.rates[-1]
         if isinstance(re, float):
-            top = hi * re if re >= 0.0 else lo * re
-            return top if abs(top) > _EXP_GUARD else 0.0
+            return _end_shift(lo, hi, re)
         if np.max(np.abs(re), initial=0.0) * max(abs(lo), abs(hi)) <= _EXP_GUARD:
             return 0.0
         top = np.maximum(lo * re, hi * re)
@@ -250,6 +249,38 @@ class ExpSum:
 
     def derivative(self) -> "ExpSum":
         return ExpSum.of([(c * a, a) for c, a in zip(self.coefs, self.rates)])
+
+    def with_slope(self, lam) -> tuple:
+        """``(f(lam), f'(lam))`` at a scalar ``lam`` from one set of exponentials.
+
+        Bit for bit ``(self(lam), self.derivative()(lam))``: f' sums the
+        nonzero coefficients 0j + coef_j * rate_j, as :meth:`derivative`
+        stores them, in rate order.  Where dropping a rate-0 end term changes
+        the derivative's rescaling (far from the imaginary axis), f' is the
+        derivative's own sum.
+        """
+        lam = complex(lam)
+        shift = self._shift(lam.real)
+        f = df = 0j
+        slope_rates = []
+        for c, a in zip(self.coefs, self.rates):
+            e = cmath.exp(a * lam - shift)
+            f += c * e
+            ca = 0j + c * a
+            if ca != 0:
+                df += ca * e
+                slope_rates.append(a)
+        if slope_rates and _end_shift(slope_rates[0], slope_rates[-1], lam.real) != shift:
+            df = complex(self.derivative()(lam))
+        return f, df
+
+
+def _end_shift(lo, hi, re):
+    """Rescaling exponent at a scalar real part ``re`` of a sum whose sorted
+    rates run from ``lo`` to ``hi``: the largest rate*re where its size
+    exceeds the guard, else 0."""
+    top = hi * re if re >= 0.0 else lo * re
+    return top if abs(top) > _EXP_GUARD else 0.0
 
 
 def char_expsum(sys: DelaySystem) -> ExpSum:

@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import chareq, contour, pdesim, polyform, regions, robustness
+from . import chareq, contour, pdesim, regions, robustness
 from .chareq import CharKind, DelayGains, DelaySystem, Rational
 
 __all__ = ["main"]
@@ -212,7 +212,7 @@ def cmd_count(args) -> int:
     if args.disk:
         if rat is None:
             raise UsageError("--disk needs a rational delay")
-        count = contour.count_in_disk(polyform.reduce_to_polynomial(sysd))
+        count = regions.crossing_state(CharKind.CASCADE_EQUAL_GAINS, rat.num, rat.den, args.c)[0]
     else:
         a, b = args.strip
         if a >= b:
@@ -278,6 +278,8 @@ def cmd_simulate(args) -> int:
 def cmd_critical(args) -> int:
     if math.gcd(args.m, args.n) != 1:
         raise UsageError("--m and --n must be coprime")
+    if args.m == args.n:
+        raise UsageError("tau = 1 (m = n) is handled by its dedicated analysis")
     cs = regions.critical_set_E(args.m, args.n, validate=args.validate)
     _write_csv(args.output, ["c"], [(v,) for v in cs.values])
     return 0

@@ -2,13 +2,14 @@
 
 Every winding number comes from one argument tracker over a closed path
 t in [0, 1] -> z: the four edges of a rectangle, a quarter of t each, or
-the unit circle exp(2 pi i t).  Steps that turn by pi/2 or more are bisected
-until none is left, which pins the branch of the argument, and the count is
-repeated at doubled initial density until two rounds agree; each doubling
-round reuses the uniform samples of the round before and evaluates only the
-midpoints between them.  Since the
-tracked functions are analytic, the winding equals the number of enclosed
-zeros counted with multiplicity.  A contour that touches a zero raises
+the unit circle exp(2 pi i t).  Steps that turn by pi/2 or more are cut, at
+their midpoint and where their chord passes closest to 0, until none is left,
+which pins the branch of the argument; a zero on the path is met within a
+few passes.  The count is repeated at doubled initial density until two
+rounds agree; each doubling round reuses the uniform samples of the round
+before and evaluates only the midpoints between them.  Since the tracked
+functions are analytic, the winding equals the number of enclosed zeros
+counted with multiplicity.  A contour that touches a zero raises
 :class:`OnContourZero`; a rectangle the caller may move is dilated with
 jitter and retried under one policy, ``_winding_with_retries``.
 
@@ -105,20 +106,50 @@ def _track(func, path, t, w, zero_tol, max_pass=60) -> float:
     """Total change of arg func along ``path(t)``, t from 0 to 1.
 
     Starts from the samples ``w = func(path(t))`` at the sorted parameters
-    ``t`` and bisects every step that turns by pi/2 or more; only the new
-    samples are evaluated.
+    ``t``.  A step that turns by less than pi/2 is settled and its turn
+    added to the total; only the unsettled steps are carried on.  Each pass
+    cuts every one of them at its midpoint, which keeps bisection's
+    progress, and at the point where the chord from its end values passes
+    closest to 0, all in one ``func`` call, and inspects only the new
+    sub-steps.  The chord point converges on a zero on the path within a
+    few passes; from a zero just off the path it falls at the foot of the
+    perpendicular, where |func| is as large as the distance allows.  Every
+    new sample is tested for contact.
     """
+    _contact(w, zero_tol)
+    dphi = np.angle(w[1:] / w[:-1])
+    bad = np.abs(dphi) >= 0.5 * np.pi
+    total = dphi[~bad].sum()
+    ta, tb, wa, wb = t[:-1][bad], t[1:][bad], w[:-1][bad], w[1:][bad]
     for _ in range(max_pass):
-        if np.any(np.abs(w) < zero_tol):
-            raise OnContourZero("|func| below tolerance on contour")
-        dphi = np.angle(w[1:] / w[:-1])
-        bad = np.flatnonzero(np.abs(dphi) >= 0.5 * np.pi)
-        if not bad.size:
-            return float(dphi.sum())
-        tm = 0.5 * (t[bad] + t[bad + 1])
-        t = np.insert(t, bad + 1, tm)
-        w = np.insert(w, bad + 1, func(path(tm)))
+        if not ta.size:
+            return float(total)
+        tm, tc = 0.5 * (ta + tb), np.minimum(ta + _chord_cut(wa, wb) * (tb - ta), tb)
+        t1, t2 = np.minimum(tm, tc), np.maximum(tm, tc)
+        wn = func(path(np.concatenate((t1, t2))))
+        _contact(wn, zero_tol)
+        w1, w2 = wn[:ta.size], wn[ta.size:]
+        ta, tb = np.concatenate((ta, t1, t2)), np.concatenate((t1, t2, tb))
+        wa, wb = np.concatenate((wa, w1, w2)), np.concatenate((w1, w2, wb))
+        dphi = np.angle(wb / wa)
+        bad = np.abs(dphi) >= 0.5 * np.pi
+        total += dphi[~bad].sum()
+        ta, tb, wa, wb = ta[bad], tb[bad], wa[bad], wb[bad]
     raise OnContourZero("argument tracking did not settle (zero very near contour)")
+
+
+def _chord_cut(wa, wb):
+    """Fraction s in [0, 1] where the chord wa + s (wb - wa) passes closest
+    to 0: clip(-Re(conj(dw) wa) / |dw|^2) with dw = wb - wa, or 0.5 (the
+    midpoint) where the chord is degenerate or not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = -(wa / (wb - wa)).real
+    return np.where(np.isfinite(s), np.clip(s, 0.0, 1.0), 0.5)
+
+
+def _contact(w, zero_tol) -> None:
+    if np.any(np.abs(w) < zero_tol):
+        raise OnContourZero("|func| below tolerance on contour")
 
 
 def _winding(func, path, n, zero_tol) -> int:
@@ -273,17 +304,18 @@ def re_bound(sys: DelaySystem) -> float:
     return hi + 0.5
 
 
-def _newton(func, dfunc, z, iters, box=None, pad=0.0):
+def _newton(fd, z, iters, box=None, pad=0.0):
     """Newton's method from ``z``: at most ``iters`` steps, stopping early
     where the derivative vanishes or after a step below 1e-15 * (1 + |z|).
-    ``func`` and ``dfunc`` take a scalar.  Returns None when, given a
-    ``box``, an iterate leaves it by more than ``pad``.
+    ``fd`` maps a scalar to (f, f'), as :meth:`ExpSum.with_slope` does.
+    Returns None when, given a ``box``, an iterate leaves it by more than
+    ``pad``.
     """
     for _ in range(iters):
-        d = complex(dfunc(z))
+        f, d = fd(z)
         if d == 0:
             break
-        step = complex(func(z)) / d
+        step = complex(f) / complex(d)
         z = z - step
         if box is not None and not box.contains(z, pad):
             return None
@@ -330,11 +362,10 @@ def isolate_and_refine(
     """
     func = char_expsum(sys)
     dfunc = func.derivative()
-    d2func = dfunc.derivative()
     rng = np.random.default_rng(0xC0417)
     k, rect = _winding_with_retries(func, rect, rng, n0=expsum_sample_hint(func, rect))
     out: List[RootRecord] = []
-    _isolate(func, dfunc, d2func, rect, k, 0, max_depth, resid_tol, out)
+    _isolate(func, dfunc, rect, k, 0, max_depth, resid_tol, out)
     out.sort(key=lambda r: (r.lam.imag, r.lam.real))
     return out
 
@@ -347,31 +378,31 @@ def _backward_tol(func, z, resid_tol) -> float:
     return resid_tol * max(1.0, float(func.magnitude(z)))
 
 
-def _newton_in_box(func, dfunc, rect):
-    """Newton from the centre of ``rect``: its limit when it lies in the
-    box, else None."""
+def _newton_in_box(func, rect):
+    """Newton on the ExpSum ``func`` from the centre of ``rect``: its limit
+    when it lies in the box, else None."""
     # Newton may wander up to pad outside the box, but a root is accepted
     # only inside it: one just outside belongs to a neighbouring box
     pad = 1e-9 + 0.05 * rect.diag
-    z = _newton(func, dfunc, rect.center, 80, rect, pad)
+    z = _newton(func.with_slope, rect.center, 80, rect, pad)
     return z if z is not None and rect.contains(z, 1e-9) else None
 
 
-def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, out) -> None:
+def _isolate(func, dfunc, rect, k, depth, max_depth, resid_tol, out) -> None:
     if k == 0:
         return
     if k == 1:
-        z = _newton_in_box(func, dfunc, rect)
+        z = _newton_in_box(func, rect)
         if z is not None:
             res = abs(complex(func(z)))
             if res < _backward_tol(func, z, resid_tol):
                 out.append(RootRecord(z, res, 1))
                 return
     if k == 2:
-        zd = _newton_in_box(dfunc, d2func, rect)
+        zd = _newton_in_box(dfunc, rect)
         if zd is not None:
             fz = abs(complex(func(zd)))
-            f2 = abs(complex(d2func(zd)))
+            f2 = abs(dfunc.with_slope(zd)[1])
             sep = math.sqrt(2.0 * fz / f2) if f2 > 0 else math.inf
             if sep < 1e-7 and fz < _backward_tol(func, zd, resid_tol):
                 out.append(RootRecord(zd, fz, 2))
@@ -400,8 +431,8 @@ def _isolate(func, dfunc, d2func, rect, k, depth, max_depth, resid_tol, out) -> 
             continue
         if k1 + k2 != k:
             continue
-        _isolate(func, dfunc, d2func, r1, k1, depth + 1, max_depth, resid_tol, out)
-        _isolate(func, dfunc, d2func, r2, k2, depth + 1, max_depth, resid_tol, out)
+        _isolate(func, dfunc, r1, k1, depth + 1, max_depth, resid_tol, out)
+        _isolate(func, dfunc, r2, k2, depth + 1, max_depth, resid_tol, out)
         return
     raise OnContourZero(f"could not split {rect} without touching a root")
 

@@ -295,7 +295,8 @@ def unit_circle_continuation(m: int, n: int, c_star: float, dc: float = 1e-5) ->
 
     def track(c):
         p = _disk_poly(m, n, c)
-        return abs(_newton(p, PolyReal.from_coeffs(p.derivative_coeffs()), z0, 50))
+        dp = PolyReal.from_coeffs(p.derivative_coeffs())
+        return abs(_newton(lambda z: (p(z), dp(z)), z0, 50))
 
     return track(c_star - dc), track(c_star + dc)
 
@@ -305,8 +306,7 @@ def strip_continuation(tau: float, c_star: float, beta0: float, dc: float = 1e-5
 
     Returns (Re lam(c_star - dc), Re lam(c_star + dc)).
     """
-    dg = g_expsum(tau).derivative()
-    lo, hi = (_newton(g_expsum(tau, c), dg, 1j * beta0, 50) for c in (c_star - dc, c_star + dc))
+    lo, hi = (_newton(g_expsum(tau, c).with_slope, 1j * beta0, 50) for c in (c_star - dc, c_star + dc))
     return lo.real, hi.real
 
 
@@ -546,7 +546,7 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
 
 def _polished(sys: DelaySystem, state: StabilityState, lam: complex) -> StabilityVerdict:
     f = char_expsum(sys)
-    return StabilityVerdict(state, _newton(f, f.derivative(), lam, 4))
+    return StabilityVerdict(state, _newton(f.with_slope, lam, 4))
 
 
 def _companion_verdict(sys: DelaySystem, state: Optional[StabilityState] = None) -> StabilityVerdict:

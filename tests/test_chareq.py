@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaywave.chareq import (
@@ -164,6 +164,11 @@ def _vector_reference(f, lam):
     return out
 
 
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
 # real parts near the origin and beyond the overflow guard on both sides
 _re_parts = st.one_of(finite, st.floats(100, 400), st.floats(-400, -100))
 
@@ -201,6 +206,25 @@ class TestExpSumPaths:
         f = char_expsum(_system(kind, c1, c2, tau))
         lams = np.array([complex(re, im) for re, im in points], dtype=complex)
         assert np.array_equal(f(lams), _vector_reference(f, lams))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(list(CharKind)),
+        finite,
+        finite,
+        st.floats(min_value=0.1, max_value=5),
+        st.tuples(_re_parts, st.floats(-60, 60)),
+    )
+    # rates 0, 1.8, 2: the derivative drops the rate-0 end and rescales on its own
+    @example(CharKind.CASCADE_EQUAL_GAINS, 0.3, 0.3, 0.2, (-400.0, 1.0))
+    def test_with_slope_is_both_evaluations_bit_for_bit(self, kind, c1, c2, tau, point):
+        # one set of exponentials serves f and f', also where their
+        # rescalings differ (a rate-0 end term, far left or right)
+        f = char_expsum(_system(kind, c1, c2, tau))
+        lam = complex(*point)
+        for g in (f, f.derivative()):
+            got, want = g.with_slope(lam), (g(lam), g.derivative()(lam))
+            assert [_bits(z) for z in got] == [_bits(z) for z in want]
 
     def test_scalar_path_under_overflow_trap(self):
         for kind in CharKind:

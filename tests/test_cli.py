@@ -1,11 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from delaywave import regions
+from delaywave.chareq import CharKind, Rational, equal_gain_system
 from delaywave.cli import main
+from delaywave.contour import count_in_disk
+from delaywave.polyform import reduce_to_polynomial
 
 
 def run(capsys, *argv):
@@ -125,6 +133,30 @@ class TestCount:
         code, _, err = run(capsys, "count", "--tau", "5/2", "--c", "0", "--strip", "-2", "2")
         assert code == 2 and "numerical failure" in err
 
+    @pytest.mark.parametrize("c", ["0", "-1"])
+    def test_disk_with_zeros_on_the_circle(self, capsys, c):
+        # the exact crossing count: none inside, although zeros sit on the circle
+        code, out, _ = run(capsys, "count", "--tau", "2/1", "--c", c, "--disk")
+        assert code == 0 and out == "0\n"
+
+    GAIN = st.integers(-3_000_000, 3_000_000).map(lambda k: k / 1e6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 40), GAIN)
+    def test_disk_matches_the_winding_count(self, n, m, c):
+        assume(m + 2 * n <= 60 and math.gcd(m, n) == 1)
+        if m == n:
+            # tau = 1: both zeros on the circle for every |c| <= 1
+            assume(abs(c) >= 1.0 + 1e-6)
+        else:
+            gains = [0.0, *regions._crossing_table(CharKind.CASCADE_EQUAL_GAINS, m, n).gains]
+            assume(min(abs(c - g) for g in gains) >= 1e-6)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["count", "--tau", f"{m}/{n}", f"--c={c!r}", "--disk"]) == 0
+        p = reduce_to_polynomial(equal_gain_system(c, m / n, Rational(m, n)))
+        assert int(out.getvalue()) == count_in_disk(p)
+
     def test_disk_needs_rational(self, capsys):
         code, _, err = run(
             capsys, "count", "--tau-real", "3.14159265358979", "--treat-as-irrational",
@@ -206,7 +238,7 @@ class TestCritical:
 
     def test_tau_one_rejected(self, capsys):
         code, _, err = run(capsys, "critical", "--m", "1", "--n", "1")
-        assert code == 2
+        assert code == 1
 
 
 class TestUsage:

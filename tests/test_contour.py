@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from delaywave import contour
 from delaywave.chareq import (
     CharKind,
     DelayGains,
@@ -19,6 +20,7 @@ from delaywave.contour import (
     NO_ROOTS,
     ComplexRect,
     OnContourZero,
+    _chord_cut,
     count_in_disk,
     count_in_strip,
     expsum_sample_hint,
@@ -101,6 +103,130 @@ class TestWindingRect:
         rect = ComplexRect(*box)
         for n0 in (17, expsum_sample_hint(f, rect)):
             assert winding_rect(f, rect, n0=n0) == expected
+
+
+def _bisecting_track(func, path, t, w, zero_tol, max_pass=60):
+    """The midpoint-only argument tracker the chord cuts replaced: every pass
+    re-scans the whole sample array and bisects each step of pi/2 or more."""
+    for _ in range(max_pass):
+        if np.any(np.abs(w) < zero_tol):
+            raise OnContourZero("|func| below tolerance on contour")
+        dphi = np.angle(w[1:] / w[:-1])
+        bad = np.flatnonzero(np.abs(dphi) >= 0.5 * np.pi)
+        if not bad.size:
+            return float(dphi.sum())
+        tm = 0.5 * (t[bad] + t[bad + 1])
+        t = np.insert(t, bad + 1, tm)
+        w = np.insert(w, bad + 1, func(path(tm)))
+    raise OnContourZero("argument tracking did not settle (zero very near contour)")
+
+
+def _counted(func):
+    calls = []
+
+    def f(z):
+        calls.append(z.size)
+        return func(z)
+
+    return f, calls
+
+
+def _outcome(func, rect):
+    try:
+        return winding_rect(func, rect, n0=expsum_sample_hint(func, rect))
+    except OnContourZero:
+        return "contact"
+
+
+_KIND_SYSTEM = {
+    CharKind.CASCADE_FULL: lambda c1, c2, m, n: DelaySystem(DelayGains(c1, c2), m / n, Rational(m, n)),
+    CharKind.CASCADE_EQUAL_GAINS: lambda c1, c2, m, n: equal_sys(m, n, c1),
+    CharKind.DIRECT_DELAY_FEEDBACK: lambda c1, c2, m, n: direct_feedback_system(c2, m / n, Rational(m, n)),
+}
+
+
+class TestTrack:
+    # f = e^{2 lam} + 1 + 2c at tau = 2, c = -0.25: simple zeros at
+    # ln(0.5)/2 + i (pi/2 + k pi)
+    F = char_expsum(equal_sys(2, 1, -0.25))
+    RE0 = 0.5 * math.log(0.5)
+
+    @pytest.mark.parametrize("box", [(-1, 1, 0.5, math.pi / 2), (RE0, 1, 0.5, 2.5)])
+    def test_contact_found_within_budget(self, box):
+        # plain bisection takes more than 30 passes to come within 1e-12
+        f, calls = _counted(self.F)
+        with pytest.raises(OnContourZero):
+            winding_rect(f, ComplexRect(*box))
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize(
+        "box, expected",
+        [
+            ((-1, 1, 0.5, math.pi / 2 + 1e-9), 1),
+            ((-1, 1, 0.5, math.pi / 2 - 1e-9), 0),
+            ((RE0 - 1e-9, 1, 0.5, 2.5), 1),
+            ((RE0 + 1e-9, 1, 0.5, 2.5), 0),
+        ],
+    )
+    def test_root_just_off_an_edge_is_counted(self, box, expected):
+        # the chord cut falls at the foot of the perpendicular, where |f| is
+        # about |f'| 1e-9, far above the contact tolerance; plain bisection
+        # takes 53 calls
+        f, calls = _counted(self.F)
+        assert winding_rect(f, ComplexRect(*box)) == expected
+        assert len(calls) <= 30
+
+    def test_degenerate_chord_cuts_at_the_midpoint(self):
+        wa = np.array([1 + 1j, np.inf, 1.0, np.nan, -1.0, -1.0, 1 + 1j, -3.0])
+        wb = np.array([1 + 1j, 1.0, np.nan, 1.0, 1.0, 3.0, 2 + 1j, 1.0])
+        assert _chord_cut(wa, wb).tolist() == [0.5, 0.5, 0.5, 0.5, 0.5, 0.25, 0.0, 0.75]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(list(CharKind)),
+        st.integers(-200, 200).map(lambda k: k / 100),
+        st.integers(-200, 200).map(lambda k: k / 100),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_same_outcome_as_bisection(self, kind, c1, c2, m, n, data):
+        assume(math.gcd(m, n) == 1)
+        sysd = _KIND_SYSTEM[kind](c1, c2, m, n)
+        func = char_expsum(sysd)
+        q = math.pi / 4
+        steps = st.integers(1, 8)
+        p = reduce_to_polynomial(sysd)
+        zs = [z for z in disk_roots(p).roots if z != 0] if p.degree > 0 else []
+        if zs and data.draw(st.booleans(), label="through a root"):
+            # one edge exactly through a root lam = -n log z + 2 pi i n j
+            z = data.draw(st.sampled_from(zs), label="z")
+            lam = -n * np.log(complex(z)) + 2j * np.pi * n * data.draw(st.integers(-1, 1), label="j")
+            x, y = lam.real, lam.imag
+            xl, yl = 0.25 * math.floor(x / 0.25), q * math.floor(y / q)
+            re = (xl - 0.25 * data.draw(st.integers(0, 3)), xl + 0.25 * data.draw(steps))
+            im = (yl - q * data.draw(st.integers(0, 3)), yl + q * data.draw(steps))
+            side = data.draw(st.sampled_from(["left", "right", "bottom", "top"]), label="side")
+            if side == "left":
+                re = (x, x + 0.25 * data.draw(steps))
+            elif side == "right":
+                re = (x - 0.25 * data.draw(steps), x)
+            elif side == "bottom":
+                im = (y, y + q * data.draw(steps))
+            else:
+                im = (y - q * data.draw(steps), y)
+        else:
+            # edges on the lattice that splits boxes through root rows
+            lo_re, lo_im = data.draw(st.integers(-12, 4)), data.draw(st.integers(-16, 16))
+            re = (0.25 * lo_re, 0.25 * (lo_re + data.draw(steps)))
+            im = (q * lo_im, q * (lo_im + data.draw(steps)))
+        rect = ComplexRect(re[0], re[1], im[0], im[1])
+        new = _outcome(func, rect)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour, "_track", _bisecting_track)
+            old = _outcome(func, rect)
+        event(f"{kind.name} {'contact' if old == 'contact' else 'count'}")
+        assert new == old
 
 
 class TestCountInDisk:
