@@ -1,17 +1,23 @@
 """Argument-principle counting, root isolation and refinement in the lam-plane.
 
-Every winding number comes from one argument tracker over a closed path
-t in [0, 1] -> z: the four edges of a rectangle, a quarter of t each, or
-the unit circle exp(2 pi i t).  Steps that turn by pi/2 or more are cut, at
-their midpoint and where their chord passes closest to 0, until none is left,
-which pins the branch of the argument; a zero on the path is met within a
-few passes.  The count is repeated at doubled initial density until two
-rounds agree; each doubling round reuses the uniform samples of the round
-before and evaluates only the midpoints between them.  Since the tracked
-functions are analytic, the winding equals the number of enclosed zeros
-counted with multiplicity.  A contour that touches a zero raises
-:class:`OnContourZero`; a rectangle the caller may move is dilated with
-jitter and retried under one policy, ``_winding_with_retries``.
+Every winding number comes from one argument tracker, which follows many
+closed paths t in [0, 1] -> z at once: the four edges of a rectangle, a
+quarter of t each, or the unit circle exp(2 pi i t).  The samples of all
+paths sit in flat arrays tagged with their path, so each sampling round and
+each tracking pass is one evaluation of the function.  Steps that turn by
+pi/2 or more are cut, at their midpoint and where their chord passes closest
+to 0, until none is left, which pins the branch of the argument; a zero on
+the path is met within a few passes.  Each path's count is repeated at
+doubled initial density until two rounds agree; each doubling round reuses
+the uniform samples of the round before and evaluates only the midpoints
+between them.  Since the tracked functions are analytic, the winding equals
+the number of enclosed zeros counted with multiplicity.  A path that touches
+a zero gets its own :class:`OnContourZero` and leaves the other paths of its
+batch alone; a rectangle the caller may move is dilated with jitter and
+retried under one policy, ``_winding_with_retries``.
+
+Root isolation bisects level by level: the halves of every box of a level
+are wound in one batch.
 
 Double roots are certified structurally rather than by ever-finer bisection:
 principal-value tracking cannot see the full 2*pi swing of a quadratic dip
@@ -74,6 +80,8 @@ class ComplexRect:
     im_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise ValueError("rectangle bounds must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("degenerate rectangle")
 
@@ -102,40 +110,67 @@ class RootRecord:
     multiplicity: int
 
 
-def _track(func, path, t, w, zero_tol, max_pass=60) -> float:
-    """Total change of arg func along ``path(t)``, t from 0 to 1.
+def _track(func, path, pid, t, w, npaths, zero_tol, max_pass=60):
+    """Total change of arg func along each of ``npaths`` closed paths.
 
-    Starts from the samples ``w = func(path(t))`` at the sorted parameters
-    ``t``.  A step that turns by less than pi/2 is settled and its turn
-    added to the total; only the unsettled steps are carried on.  Each pass
-    cuts every one of them at its midpoint, which keeps bisection's
-    progress, and at the point where the chord from its end values passes
-    closest to 0, all in one ``func`` call, and inspects only the new
-    sub-steps.  The chord point converges on a zero on the path within a
-    few passes; from a zero just off the path it falls at the foot of the
-    perpendicular, where |func| is as large as the distance allows.  Every
-    new sample is tested for contact.
+    Path p is ``path(p, t)``, t from 0 to 1.  Its samples ``w = func(path(pid,
+    t))`` sit in flat arrays, path after path with t sorted within each path.
+    A step that turns by less than pi/2 is settled and its turn added to its
+    path's total; only the unsettled steps are carried on.  Each pass cuts
+    every one of them, of all paths in one ``func`` call, at its midpoint,
+    which keeps bisection's progress, and at the point where the chord from
+    its end values passes closest to 0, and inspects only the new sub-steps.
+    The chord point converges on a zero on the path within a few passes;
+    from a zero just off the path it falls at the foot of the perpendicular,
+    where |func| is as large as the distance allows.
+
+    Returns ``(total, why)``: ``why`` maps each path that met a sample below
+    ``zero_tol``, or was still unsettled at its last pass, to the reason;
+    ``total`` holds the change of arg along every other path.
     """
-    _contact(w, zero_tol)
-    dphi = np.angle(w[1:] / w[:-1])
+    why = {}
+    open_ = _contacts(why, pid, w, zero_tol, npaths)
+    if open_ is not None:
+        keep = open_[pid]
+        pid, t, w = pid[keep], t[keep], w[keep]
+    dphi = _turn(w[:-1], w[1:])
+    same = pid[1:] == pid[:-1]
     bad = np.abs(dphi) >= 0.5 * np.pi
-    total = dphi[~bad].sum()
-    ta, tb, wa, wb = t[:-1][bad], t[1:][bad], w[:-1][bad], w[1:][bad]
+    ok = same & ~bad
+    total = np.bincount(pid[1:][ok], dphi[ok], npaths)
+    bad &= same
+    ta, tb, wa, wb, sp = t[:-1][bad], t[1:][bad], w[:-1][bad], w[1:][bad], pid[1:][bad]
+    last = sp
     for _ in range(max_pass):
-        if not ta.size:
-            return float(total)
+        if not sp.size:
+            return total, why
+        last = sp
         tm, tc = 0.5 * (ta + tb), np.minimum(ta + _chord_cut(wa, wb) * (tb - ta), tb)
         t1, t2 = np.minimum(tm, tc), np.maximum(tm, tc)
-        wn = func(path(np.concatenate((t1, t2))))
-        _contact(wn, zero_tol)
-        w1, w2 = wn[:ta.size], wn[ta.size:]
+        s2 = np.concatenate((sp, sp))
+        wn = func(path(s2, np.concatenate((t1, t2))))
+        w1, w2 = wn[:sp.size], wn[sp.size:]
+        open_ = _contacts(why, s2, wn, zero_tol, npaths)
+        if open_ is not None:
+            keep = open_[sp]
+            ta, tb, wa, wb, sp = ta[keep], tb[keep], wa[keep], wb[keep], sp[keep]
+            t1, t2, w1, w2 = t1[keep], t2[keep], w1[keep], w2[keep]
         ta, tb = np.concatenate((ta, t1, t2)), np.concatenate((t1, t2, tb))
         wa, wb = np.concatenate((wa, w1, w2)), np.concatenate((w1, w2, wb))
-        dphi = np.angle(wb / wa)
+        sp = np.concatenate((sp, sp, sp))
+        dphi = _turn(wa, wb)
         bad = np.abs(dphi) >= 0.5 * np.pi
-        total += dphi[~bad].sum()
-        ta, tb, wa, wb = ta[bad], tb[bad], wa[bad], wb[bad]
-    raise OnContourZero("argument tracking did not settle (zero very near contour)")
+        total += np.bincount(sp[~bad], dphi[~bad], npaths)
+        ta, tb, wa, wb, sp = ta[bad], tb[bad], wa[bad], wb[bad], sp[bad]
+    for p in set(last.tolist()):
+        why.setdefault(p, "argument tracking did not settle (zero very near contour)")
+    return total, why
+
+
+def _turn(wa, wb):
+    """Principal argument of wb / wa: ``np.angle`` without its dispatch."""
+    q = wb / wa
+    return np.arctan2(q.imag, q.real)
 
 
 def _chord_cut(wa, wb):
@@ -147,56 +182,121 @@ def _chord_cut(wa, wb):
     return np.where(np.isfinite(s), np.clip(s, 0.0, 1.0), 0.5)
 
 
-def _contact(w, zero_tol) -> None:
-    if np.any(np.abs(w) < zero_tol):
-        raise OnContourZero("|func| below tolerance on contour")
+def _contacts(why, pid, w, zero_tol, npaths):
+    """Record in ``why`` every path with a sample below ``zero_tol``.  Returns
+    None if there is none, else the mask of the paths ``why`` does not name."""
+    low = np.abs(w) < zero_tol
+    if not low.any():
+        return None
+    for p in set(pid[low].tolist()):
+        why.setdefault(p, "|func| below tolerance on contour")
+    open_ = np.ones(npaths, dtype=bool)
+    open_[list(why)] = False
+    return open_
 
 
-def _winding(func, path, n, zero_tol) -> int:
-    """Winding number of ``func`` around 0 along the closed ``path``.
+def _grid(n):
+    """Flat uniform grids: ``n[p]`` parameters for path p, bit for bit
+    ``np.linspace(0, 1, n[p])``.  Returns the path id, the index within its
+    path and the parameter of every sample."""
+    pid = np.arange(n.size).repeat(n)
+    end = n.cumsum()
+    j = np.arange(pid.size) - (end - n).repeat(n)
+    t = j * (1.0 / (n - 1)).repeat(n)
+    # a path with n = 0 points its end at the last sample of another path
+    t[end - 1] = 1.0
+    return pid, j, t
 
-    Principal-value tracking alone can settle on an aliased count when a
-    coarse step hides a full turn, so the count is recomputed at doubled
-    initial density until two consecutive rounds agree.  Each doubling
-    round keeps the previous round's n uniform samples and evaluates only
-    the n - 1 midpoints between them.
+
+def _windings(func, path, n, zero_tol):
+    """Winding numbers of ``func`` around 0 along the closed paths
+    ``path(p, t)``, p = 0 .. len(n) - 1, in one batch.
+
+    Path p starts from ``n[p]`` uniform samples.  Principal-value tracking
+    alone can settle on an aliased count when a coarse step hides a full
+    turn, so each path's count is recomputed at doubled initial density
+    until two consecutive rounds agree, 8 rounds at most.  A doubling round
+    keeps a path's n uniform samples and evaluates only the n - 1 midpoints
+    between them.  Every round samples, and every tracking pass cuts, all
+    paths still open in one ``func`` call.
+
+    Returns ``(k, why)``: ``why`` maps each path that touched a zero, did
+    not settle, gave a non-integer count or did not stabilise to the
+    message of its :class:`OnContourZero`; ``k[p]`` is the winding number
+    of every other path.  One path's failure leaves the others' counts as
+    they are.
     """
-    t = np.linspace(0.0, 1.0, n)
-    w = func(path(t))
-    k_prev = None
-    for _ in range(8):
-        if k_prev is not None:
-            n = 2 * n - 1
-            t = np.linspace(0.0, 1.0, n)
-            w_old, w = w, np.empty(n, dtype=w.dtype)
-            w[::2] = w_old
-            w[1::2] = func(path(t[1::2]))
-        turns = _track(func, path, t, w, zero_tol) / (2.0 * np.pi)
-        k = round(turns)
-        if abs(turns - k) > 0.25:
-            raise OnContourZero(f"non-integer winding {turns:.3f}")
-        if k == k_prev:
-            return k
-        k_prev = k
-    raise OnContourZero("winding did not stabilise under sample doubling")
+    n = np.asarray(n)
+    k, why, k_prev = [0] * n.size, {}, {}
+    live = range(n.size)
+    pid, j, t = _grid(n)
+    w = func(path(pid, t))
+    for rnd in range(8):
+        if rnd:
+            if shrunk:
+                alive = np.zeros(n.size, dtype=bool)
+                alive[live] = True
+                n, w = n * alive, w[alive[pid]]
+            n = np.maximum(2 * n - 1, 0)
+            pid, j, t = _grid(n)
+            fresh = j % 2 == 1
+            kept, w = w, np.empty(pid.size, dtype=w.dtype)
+            w[~fresh] = kept
+            w[fresh] = func(path(pid[fresh], t[fresh]))
+        total, lost = _track(func, path, pid, t, w, n.size, zero_tol)
+        total = total.tolist()
+        still = []
+        for p in live:
+            x = total[p] / (2.0 * np.pi)
+            if p in lost:
+                why[p] = lost[p]
+            elif not (math.isfinite(x) and abs(x - round(x)) <= 0.25):
+                why[p] = f"non-integer winding {x:.3f}"
+            elif round(x) == k_prev.get(p):
+                k[p] = round(x)
+            else:
+                k_prev[p] = round(x)
+                still.append(p)
+        shrunk, live = len(still) < len(live), still
+        if not live:
+            return k, why
+    for p in live:
+        why[p] = "winding did not stabilise under sample doubling"
+    return k, why
 
 
-def _rect_path(rect: ComplexRect):
-    """The boundary of ``rect``, counter-clockwise, one edge per quarter of t."""
-    corners = np.array([
-        complex(rect.re_min, rect.im_min),
-        complex(rect.re_max, rect.im_min),
-        complex(rect.re_max, rect.im_max),
-        complex(rect.re_min, rect.im_max),
-        complex(rect.re_min, rect.im_min),
-    ])
+# columns of (re_min, re_max, im_min, im_max) at the corners of a rectangle,
+# counter-clockwise from (re_min, im_min) and back to it
+_CORNER_RE = np.array([0, 1, 1, 0, 0])
+_CORNER_IM = np.array([2, 2, 3, 3, 2])
 
-    def path(t):
+
+def _rect_windings(func, box, n0, zero_tol=1e-12):
+    """:func:`_windings` along the boundaries of the rectangles ``box[p] =
+    (re_min, re_max, im_min, im_max)``, counter-clockwise, one edge per
+    quarter of t, each edge from ``n0[p]`` samples."""
+    box = np.asarray(box, dtype=float)
+    corners = np.empty((len(box), 5), dtype=complex)
+    corners.real = box.take(_CORNER_RE, 1)
+    corners.imag = box.take(_CORNER_IM, 1)
+    corners = corners.ravel()
+    sides = corners[1:] - corners[:-1]
+
+    def path(pid, t):
         s = 4.0 * t
         edge = np.minimum(s.astype(int), 3)
-        return corners[edge] + (corners[edge + 1] - corners[edge]) * (s - edge)
+        at = 5 * pid + edge
+        return corners[at] + sides[at] * (s - edge)
 
-    return path
+    return _windings(func, path, 4 * np.asarray(n0) - 3, zero_tol)
+
+
+def _single(result) -> int:
+    """The count of a one-path batch, or its :class:`OnContourZero`."""
+    k, why = result
+    if why:
+        raise OnContourZero(why[0])
+    return k[0]
 
 
 def winding_rect(
@@ -209,20 +309,28 @@ def winding_rect(
 
     ``func`` must accept complex ndarrays.  Equals the number of zeros of an
     analytic ``func`` inside the rectangle, counted with multiplicity.  Each
-    edge starts from ``n0`` samples, and the count must agree under sample
-    doubling.  Raises :class:`OnContourZero` when a sample of |func| drops
-    below ``zero_tol``; the caller should perturb the rectangle and retry.
+    edge starts from ``n0`` (at least 2) samples, and the count must agree
+    under sample doubling.  Raises :class:`OnContourZero` when a sample of
+    |func| drops below ``zero_tol``; the caller should perturb the rectangle
+    and retry.
     """
-    return _winding(func, _rect_path(rect), 4 * (n0 - 1) + 1, zero_tol)
+    if n0 < 2:
+        raise ValueError(f"n0 = {n0}: each edge needs at least 2 samples")
+    box = [(rect.re_min, rect.re_max, rect.im_min, rect.im_max)]
+    return _single(_rect_windings(func, box, [n0], zero_tol))
 
 
 def expsum_sample_hint(es: ExpSum, rect: ComplexRect) -> int:
     """Initial edge density matched to the fastest phase rotation of ``es``."""
+    return int(_sample_hint(es, max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)))
+
+
+def _sample_hint(es: ExpSum, span):
+    """:func:`expsum_sample_hint` of rectangles whose longer sides are ``span``."""
     if not es.rates:
-        return 17
+        return np.full(np.shape(span), 17)
     rate = max(abs(a) for a in es.rates)
-    span = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
-    return min(20001, max(17, int(rate * span)))
+    return np.minimum(np.maximum(rate * np.asarray(span), 17), 20001).astype(int)
 
 
 def count_in_disk(p) -> int:
@@ -243,7 +351,7 @@ def count_in_disk(p) -> int:
     def on_circle(t):
         return sum(a[j] * np.exp(2j * np.pi * j * t) for j in k)
 
-    return _winding(on_circle, lambda t: t, max(65, 8 * p.degree + 1), 1e-12)
+    return _single(_windings(on_circle, lambda pid, t: t, [max(65, 8 * p.degree + 1)], 1e-12))
 
 
 def count_in_strip(sys: DelaySystem, a: int, b: int, re_max: Optional[float] = None) -> int:
@@ -351,9 +459,9 @@ def isolate_and_refine(
 ) -> List[RootRecord]:
     """Locate every characteristic root of ``sys`` inside ``rect``.
 
-    Rectangles are bisected until each piece holds winding <= 1 (or a
-    certified double root); Newton finishes the job with a bisection
-    fallback whenever it strays outside its box.  A root is accepted when
+    Rectangles are bisected, one level at a time, until each piece holds
+    winding <= 1 (or a certified double root); Newton finishes the job in
+    each piece that holds a root.  A root is accepted when
     |f| < ``resid_tol`` * max(1, sum_j |coef_j e^{rate_j lam}|), a backward
     error; its record keeps the absolute |f|.  Multiplicity 2 is
     assigned by refining the zero of the derivative and checking that the
@@ -364,8 +472,7 @@ def isolate_and_refine(
     dfunc = func.derivative()
     rng = np.random.default_rng(0xC0417)
     k, rect = _winding_with_retries(func, rect, rng, n0=expsum_sample_hint(func, rect))
-    out: List[RootRecord] = []
-    _isolate(func, dfunc, rect, k, 0, max_depth, resid_tol, out)
+    out = _isolate(func, dfunc, rect, k, max_depth, resid_tol)
     out.sort(key=lambda r: (r.lam.imag, r.lam.real))
     return out
 
@@ -388,16 +495,15 @@ def _newton_in_box(func, rect):
     return z if z is not None and rect.contains(z, 1e-9) else None
 
 
-def _isolate(func, dfunc, rect, k, depth, max_depth, resid_tol, out) -> None:
-    if k == 0:
-        return
+def _root_in(func, dfunc, rect, k, resid_tol) -> Optional[RootRecord]:
+    """The root of a box of winding ``k``, when Newton certifies it: a simple
+    root for k = 1, a double root for k = 2; else None."""
     if k == 1:
         z = _newton_in_box(func, rect)
         if z is not None:
             res = abs(complex(func(z)))
             if res < _backward_tol(func, z, resid_tol):
-                out.append(RootRecord(z, res, 1))
-                return
+                return RootRecord(z, res, 1)
     if k == 2:
         zd = _newton_in_box(dfunc, rect)
         if zd is not None:
@@ -405,36 +511,84 @@ def _isolate(func, dfunc, rect, k, depth, max_depth, resid_tol, out) -> None:
             f2 = abs(dfunc.with_slope(zd)[1])
             sep = math.sqrt(2.0 * fz / f2) if f2 > 0 else math.inf
             if sep < 1e-7 and fz < _backward_tol(func, zd, resid_tol):
-                out.append(RootRecord(zd, fz, 2))
-                return
-    if k > 2 and rect.diag < 1e-7:
-        raise MultiplicityCapExceeded(
-            f"winding {k} in a box of diameter {rect.diag:.1e}; "
-            "roots of this family have multiplicity at most two"
-        )
-    if depth >= max_depth:
-        raise MaxDepthExceeded(f"bisection depth {depth} reached at {rect}")
-    horizontal = (rect.re_max - rect.re_min) >= (rect.im_max - rect.im_min)
-    for frac in _SPLIT_FRACS:
-        if horizontal:
-            mid = rect.re_min + frac * (rect.re_max - rect.re_min)
-            r1 = ComplexRect(rect.re_min, mid, rect.im_min, rect.im_max)
-            r2 = ComplexRect(mid, rect.re_max, rect.im_min, rect.im_max)
-        else:
-            mid = rect.im_min + frac * (rect.im_max - rect.im_min)
-            r1 = ComplexRect(rect.re_min, rect.re_max, rect.im_min, mid)
-            r2 = ComplexRect(rect.re_min, rect.re_max, mid, rect.im_max)
-        try:
-            k1 = winding_rect(func, r1, n0=expsum_sample_hint(func, r1))
-            k2 = winding_rect(func, r2, n0=expsum_sample_hint(func, r2))
-        except OnContourZero:
+                return RootRecord(zd, fz, 2)
+    return None
+
+
+def _isolate(func, dfunc, rect, k, max_depth, resid_tol) -> List[RootRecord]:
+    """The roots in ``rect`` (winding ``k``), by bisection level by level.
+
+    Each round first tries :func:`_root_in` on every new box, then winds
+    both halves of every box that must split in one batched pass.  A split
+    whose halves touch a root, or whose counts do not add up to the box's,
+    is retried at the next fraction of ``_SPLIT_FRACS`` in the next batch.
+    Every box carries its path from ``rect`` (0 for the lower half, 1 for
+    the upper), and of several failures the one that depth-first recursion
+    would meet first is raised: once a box has failed, boxes that come
+    after it in that order are dropped.
+    """
+    out: List[RootRecord] = []
+    boxes = [(rect, k, 0, ())] if k else []  # (box, winding, depth, path)
+    splits = []  # (box, winding, depth, path, index into _SPLIT_FRACS)
+    failed = None  # (path, exception) of the first failure, depth first
+    while boxes or splits:
+        for rect, k, depth, key in boxes:
+            if failed and key > failed[0]:
+                continue
+            rec = _root_in(func, dfunc, rect, k, resid_tol)
+            if rec is not None:
+                out.append(rec)
+            elif k > 2 and rect.diag < 1e-7:
+                failed = key, MultiplicityCapExceeded(
+                    f"winding {k} in a box of diameter {rect.diag:.1e}; "
+                    "roots of this family have multiplicity at most two"
+                )
+            elif depth >= max_depth:
+                failed = key, MaxDepthExceeded(f"bisection depth {depth} reached at {rect}")
+            else:
+                splits.append((rect, k, depth, key, 0))
+        if failed:
+            splits = [s for s in splits if s[3] < failed[0]]
+        boxes = []
+        if not splits:
             continue
-        if k1 + k2 != k:
-            continue
-        _isolate(func, dfunc, r1, k1, depth + 1, max_depth, resid_tol, out)
-        _isolate(func, dfunc, r2, k2, depth + 1, max_depth, resid_tol, out)
-        return
-    raise OnContourZero(f"could not split {rect} without touching a root")
+        halves, cut, mid = _halves(splits)
+        span = np.maximum(halves[:, 1] - halves[:, 0], halves[:, 3] - halves[:, 2])
+        kk, lost = _rect_windings(func, halves, _sample_hint(func, span))
+        retry = []
+        for i, (rect, k, depth, key, frac) in enumerate(splits):
+            if 2 * i not in lost and 2 * i + 1 not in lost and kk[2 * i] + kk[2 * i + 1] == k:
+                for h in (0, 1):
+                    if kk[2 * i + h]:
+                        # the cut replaces the upper bound of the lower half
+                        # and the lower bound of the upper half
+                        b = [rect.re_min, rect.re_max, rect.im_min, rect.im_max]
+                        b[cut[i] + 1 - h] = mid[i]
+                        boxes.append((ComplexRect(*b), kk[2 * i + h], depth + 1, key + (h,)))
+            elif frac + 1 < len(_SPLIT_FRACS):
+                retry.append((rect, k, depth, key, frac + 1))
+            elif not failed or key < failed[0]:
+                failed = key, OnContourZero(f"could not split {rect} without touching a root")
+        splits = retry
+    if failed:
+        raise failed[1]
+    return out
+
+
+def _halves(splits):
+    """The two halves of every split, cut across the box's longer side at
+    its fraction of ``_SPLIT_FRACS``: their bounds (re_min, re_max, im_min,
+    im_max), lower half first, and per split the column of the lower bound
+    of the cut side (0 or 2) and the cut."""
+    box = np.array([(r.re_min, r.re_max, r.im_min, r.im_max) for r, *_ in splits])
+    frac = np.array([_SPLIT_FRACS[s[4]] for s in splits])
+    rows = np.arange(len(splits))
+    cut = np.where(box[:, 1] - box[:, 0] >= box[:, 3] - box[:, 2], 0, 2)
+    mid = box[rows, cut] + frac * (box[rows, cut + 1] - box[rows, cut])
+    halves = np.repeat(box, 2, axis=0)
+    halves[2 * rows, cut + 1] = mid
+    halves[2 * rows + 1, cut] = mid
+    return halves, cut.tolist(), mid.tolist()
 
 
 def spectral_abscissa(sys: DelaySystem) -> float:

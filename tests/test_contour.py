@@ -10,6 +10,7 @@ from delaywave.chareq import (
     CharKind,
     DelayGains,
     DelaySystem,
+    ExpSum,
     Rational,
     char_expsum,
     direct_feedback_system,
@@ -19,8 +20,10 @@ from delaywave.chareq import (
 from delaywave.contour import (
     NO_ROOTS,
     ComplexRect,
+    MaxDepthExceeded,
     OnContourZero,
     _chord_cut,
+    _rect_windings,
     count_in_disk,
     count_in_strip,
     expsum_sample_hint,
@@ -70,6 +73,22 @@ class TestWindingRect:
     def test_degenerate_rect_rejected(self):
         with pytest.raises(ValueError):
             ComplexRect(1, 1, 0, 2)
+
+    @pytest.mark.parametrize("bounds", [(0, math.inf, 0, 1), (-math.inf, 0, 0, 1), (0, 1, math.nan, 1)])
+    def test_non_finite_rect_rejected(self, bounds):
+        # an infinite edge used to reach isolate_and_refine and fail there
+        # with OverflowError in the sample hint
+        with pytest.raises(ValueError, match="finite"):
+            ComplexRect(*bounds)
+
+    def test_fewer_than_two_edge_samples_rejected(self):
+        # one sample per edge made every count 0; zero failed inside numpy
+        f = char_expsum(equal_sys(2, 1, -0.25))
+        rect = ComplexRect(-1, 1, 0.5, 7)
+        assert winding_rect(f, rect, n0=17) == 2
+        for n0 in (1, 0, -3):
+            with pytest.raises(ValueError, match="n0"):
+                winding_rect(f, rect, n0=n0)
 
     def test_doubling_round_evaluates_only_midpoints(self):
         # a simple zero well inside: no step turns by pi/2, so the count
@@ -121,6 +140,21 @@ def _bisecting_track(func, path, t, w, zero_tol, max_pass=60):
     raise OnContourZero("argument tracking did not settle (zero very near contour)")
 
 
+def _bisecting_batch(func, path, pid, t, w, npaths, zero_tol, max_pass=60):
+    """``_bisecting_track`` behind the batched tracker's interface, run path
+    by path on each path's own samples."""
+    total, why = np.zeros(npaths), {}
+    for p in np.unique(pid).tolist():
+        on = pid == p
+        try:
+            total[p] = _bisecting_track(
+                func, lambda s, p=p: path(np.full(s.size, p), s), t[on], w[on], zero_tol, max_pass
+            )
+        except OnContourZero as exc:
+            why[p] = str(exc)
+    return total, why
+
+
 def _counted(func):
     calls = []
 
@@ -143,6 +177,36 @@ _KIND_SYSTEM = {
     CharKind.CASCADE_EQUAL_GAINS: lambda c1, c2, m, n: equal_sys(m, n, c1),
     CharKind.DIRECT_DELAY_FEEDBACK: lambda c1, c2, m, n: direct_feedback_system(c2, m / n, Rational(m, n)),
 }
+
+
+def _drawn_box(data, zs, n):
+    """A box with edges on the 0.25 x pi/4 lattice that splits boxes through
+    root rows, or, when ``zs`` (nonzero disk-polynomial roots at delay
+    denominator ``n``) is not empty and the draw says so, one with an edge
+    moved exactly onto a root lam = -n log z + 2 pi i n j."""
+    q = math.pi / 4
+    steps = st.integers(1, 8)
+    if zs and data.draw(st.booleans(), label="through a root"):
+        z = data.draw(st.sampled_from(zs), label="z")
+        lam = -n * np.log(complex(z)) + 2j * np.pi * n * data.draw(st.integers(-1, 1), label="j")
+        x, y = lam.real, lam.imag
+        xl, yl = 0.25 * math.floor(x / 0.25), q * math.floor(y / q)
+        re = (xl - 0.25 * data.draw(st.integers(0, 3)), xl + 0.25 * data.draw(steps))
+        im = (yl - q * data.draw(st.integers(0, 3)), yl + q * data.draw(steps))
+        side = data.draw(st.sampled_from(["left", "right", "bottom", "top"]), label="side")
+        if side == "left":
+            re = (x, x + 0.25 * data.draw(steps))
+        elif side == "right":
+            re = (x - 0.25 * data.draw(steps), x)
+        elif side == "bottom":
+            im = (y, y + q * data.draw(steps))
+        else:
+            im = (y - q * data.draw(steps), y)
+    else:
+        lo_re, lo_im = data.draw(st.integers(-12, 4)), data.draw(st.integers(-16, 16))
+        re = (0.25 * lo_re, 0.25 * (lo_re + data.draw(steps)))
+        im = (q * lo_im, q * (lo_im + data.draw(steps)))
+    return ComplexRect(re[0], re[1], im[0], im[1])
 
 
 class TestTrack:
@@ -194,39 +258,64 @@ class TestTrack:
         assume(math.gcd(m, n) == 1)
         sysd = _KIND_SYSTEM[kind](c1, c2, m, n)
         func = char_expsum(sysd)
-        q = math.pi / 4
-        steps = st.integers(1, 8)
         p = reduce_to_polynomial(sysd)
         zs = [z for z in disk_roots(p).roots if z != 0] if p.degree > 0 else []
-        if zs and data.draw(st.booleans(), label="through a root"):
-            # one edge exactly through a root lam = -n log z + 2 pi i n j
-            z = data.draw(st.sampled_from(zs), label="z")
-            lam = -n * np.log(complex(z)) + 2j * np.pi * n * data.draw(st.integers(-1, 1), label="j")
-            x, y = lam.real, lam.imag
-            xl, yl = 0.25 * math.floor(x / 0.25), q * math.floor(y / q)
-            re = (xl - 0.25 * data.draw(st.integers(0, 3)), xl + 0.25 * data.draw(steps))
-            im = (yl - q * data.draw(st.integers(0, 3)), yl + q * data.draw(steps))
-            side = data.draw(st.sampled_from(["left", "right", "bottom", "top"]), label="side")
-            if side == "left":
-                re = (x, x + 0.25 * data.draw(steps))
-            elif side == "right":
-                re = (x - 0.25 * data.draw(steps), x)
-            elif side == "bottom":
-                im = (y, y + q * data.draw(steps))
-            else:
-                im = (y - q * data.draw(steps), y)
-        else:
-            # edges on the lattice that splits boxes through root rows
-            lo_re, lo_im = data.draw(st.integers(-12, 4)), data.draw(st.integers(-16, 16))
-            re = (0.25 * lo_re, 0.25 * (lo_re + data.draw(steps)))
-            im = (q * lo_im, q * (lo_im + data.draw(steps)))
-        rect = ComplexRect(re[0], re[1], im[0], im[1])
+        rect = _drawn_box(data, zs, n)
         new = _outcome(func, rect)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contour, "_track", _bisecting_track)
+            mp.setattr(contour, "_track", _bisecting_batch)
             old = _outcome(func, rect)
         event(f"{kind.name} {'contact' if old == 'contact' else 'count'}")
         assert new == old
+
+
+class TestBatchedWinding:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(list(CharKind)),
+        st.integers(-200, 200).map(lambda k: k / 100),
+        st.integers(-200, 200).map(lambda k: k / 100),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_each_box_as_if_alone(self, kind, c1, c2, m, n, data):
+        # a batch mixes lattice boxes with boxes that have an edge exactly
+        # through a root; a contact in one box leaves the others' counts
+        assume(math.gcd(m, n) == 1)
+        sysd = _KIND_SYSTEM[kind](c1, c2, m, n)
+        func = char_expsum(sysd)
+        p = reduce_to_polynomial(sysd)
+        zs = [z for z in disk_roots(p).roots if z != 0] if p.degree > 0 else []
+        rects = [_drawn_box(data, zs, n) for _ in range(data.draw(st.integers(1, 6), label="boxes"))]
+        box = [(r.re_min, r.re_max, r.im_min, r.im_max) for r in rects]
+        k, why = _rect_windings(func, box, [expsum_sample_hint(func, r) for r in rects])
+        batched = ["contact" if i in why else k[i] for i in range(len(rects))]
+        alone = [_outcome(func, r) for r in rects]
+        event(f"{kind.name} {sum(b == 'contact' for b in batched)} of {len(rects)} in contact")
+        assert batched == alone
+
+    def test_contact_leaves_the_other_boxes(self):
+        f = TestTrack.F
+        re0 = TestTrack.RE0
+        box = [(-1, 1, 0.5, 2.5), (re0, 1, 0.5, 2.5), (-1, 1, 0.5, math.pi / 2), (-1, 1, 0.5, 7)]
+        k, why = _rect_windings(f, box, [17] * 4)
+        assert sorted(why) == [1, 2]
+        assert (k[0], k[3]) == (1, 2)
+        assert all("tolerance" in msg for msg in why.values())
+
+    def test_one_call_per_round_for_all_paths(self):
+        # paths that settle in two rounds cost two calls, however many there are
+        calls = []
+
+        def func(z):
+            calls.append(z.size)
+            return z - (0.1 + 0.2j)
+
+        box = [(-1, 1, -1, 1), (0.5, 1, -1, 1), (-1, 1, 0.3, 1), (-3, 3, -3, 3)]
+        k, why = _rect_windings(func, box, [17] * 4)
+        assert (k, why) == ([1, 0, 0, 1], {})
+        assert calls == [4 * 65, 4 * 64]
 
 
 class TestCountInDisk:
@@ -440,6 +529,31 @@ class TestIsolate:
         # rescaled like the sum itself where the exponents would overflow
         far = 700.0 + 1.0j
         assert abs(complex(f(far))) / float(f.magnitude(far)) <= 1.0 + 1e-12
+
+    def test_array_calls_per_portrait(self, monkeypatch):
+        # three root periods of the 2/1 equal-gain loop: the halves of every
+        # box of a bisection level are wound in one batch.  Winding one box
+        # at a time took 65 array calls for the same 4,199 points.
+        calls = []
+        plain = ExpSum.__call__
+
+        def counted(self, lam):
+            if np.ndim(lam):
+                calls.append(np.size(lam))
+            return plain(self, lam)
+
+        monkeypatch.setattr(ExpSum, "__call__", counted)
+        s = equal_sys(2, 1, 0.1)
+        roots = isolate_and_refine(s, ComplexRect(-2.0, 0.5, 0.3, 0.3 + 6 * math.pi))
+        assert len(roots) == 6
+        assert len(calls) <= 14
+
+    def test_depth_cap_raises_at_the_first_box_depth_first(self):
+        # four simple roots at Im = pi/2 + k pi: both halves of the first
+        # split hold two roots and reach the cap; the lower half comes first
+        s = equal_sys(2, 1, -0.25)
+        with pytest.raises(MaxDepthExceeded, match=r"depth 1 reached at .*im_min=0, im_max=6\.283"):
+            isolate_and_refine(s, ComplexRect(-1, 0.5, 0, 4 * math.pi), max_depth=1)
 
     def test_neighbour_root_not_taken_twice(self):
         # Newton from one box's centre converges to a root just outside it;
