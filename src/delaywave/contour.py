@@ -17,7 +17,10 @@ batch alone; a rectangle the caller may move is dilated with jitter and
 retried under one policy, ``_winding_with_retries``.
 
 Root isolation bisects level by level: the halves of every box of a level
-are wound in one batch.
+are wound in one batch.  One strip scan answers every question about the
+lowest unstable root: boxes up the right half-plane, from a height below
+which one winding shows no root, are wound in batches that double in size,
+and the first box with a root is isolated.
 
 Double roots are certified structurally rather than by ever-finer bisection:
 principal-value tracking cannot see the full 2*pi swing of a quadratic dip
@@ -310,12 +313,15 @@ def winding_rect(
     ``func`` must accept complex ndarrays.  Equals the number of zeros of an
     analytic ``func`` inside the rectangle, counted with multiplicity.  Each
     edge starts from ``n0`` (at least 2) samples, and the count must agree
-    under sample doubling.  Raises :class:`OnContourZero` when a sample of
-    |func| drops below ``zero_tol``; the caller should perturb the rectangle
-    and retry.
+    under sample doubling; an :class:`ExpSum` starts from at least
+    :func:`expsum_sample_hint`, as coarser rounds can agree on an alias.
+    Raises :class:`OnContourZero` when a sample of |func| drops below
+    ``zero_tol``; the caller should perturb the rectangle and retry.
     """
     if n0 < 2:
         raise ValueError(f"n0 = {n0}: each edge needs at least 2 samples")
+    if isinstance(func, ExpSum):
+        n0 = max(n0, expsum_sample_hint(func, rect))
     box = [(rect.re_min, rect.re_max, rect.im_min, rect.im_max)]
     return _single(_rect_windings(func, box, [n0], zero_tol))
 
@@ -370,7 +376,7 @@ def count_in_strip(sys: DelaySystem, a: int, b: int, re_max: Optional[float] = N
         re_max = re_bound(sys)
     func = g_expsum(sys.tau, sys.c2)
     rect = ComplexRect(0.0, re_max, a * np.pi, b * np.pi)
-    return winding_rect(func, rect, n0=expsum_sample_hint(func, rect))
+    return winding_rect(func, rect)
 
 
 def re_bound(sys: DelaySystem) -> float:
@@ -432,17 +438,18 @@ def _newton(fd, z, iters, box=None, pad=0.0):
     return z
 
 
-def _winding_with_retries(func, rect, rng, n0=17) -> tuple:
-    """Winding with the contour-contact policy: dilate with jitter, 8 tries."""
+def _winding_with_retries(func, rect, rng) -> tuple:
+    """Winding with the contour-contact policy: dilate with jitter, 8 tries,
+    each twice as far out, as |f| near a double zero stays below tolerance."""
     try:
-        return winding_rect(func, rect, n0=n0), rect
+        return winding_rect(func, rect), rect
     except OnContourZero:
         last = None
-        for _ in range(8):
-            d = 1e-7 * (1.0 + max(abs(rect.re_min), abs(rect.re_max), abs(rect.im_min), abs(rect.im_max)))
-            r2 = rect.dilated(d * (1.0 + rng.random()))
+        d = 1e-7 * (1.0 + max(abs(rect.re_min), abs(rect.re_max), abs(rect.im_min), abs(rect.im_max)))
+        for i in range(8):
+            r2 = rect.dilated(d * 2**i * (1.0 + rng.random()))
             try:
-                return winding_rect(func, r2, n0=n0), r2
+                return winding_rect(func, r2), r2
             except OnContourZero as exc:
                 last = exc
         raise last
@@ -471,7 +478,7 @@ def isolate_and_refine(
     func = char_expsum(sys)
     dfunc = func.derivative()
     rng = np.random.default_rng(0xC0417)
-    k, rect = _winding_with_retries(func, rect, rng, n0=expsum_sample_hint(func, rect))
+    k, rect = _winding_with_retries(func, rect, rng)
     out = _isolate(func, dfunc, rect, k, max_depth, resid_tol)
     out.sort(key=lambda r: (r.lam.imag, r.lam.real))
     return out
@@ -609,54 +616,64 @@ def spectral_abscissa(sys: DelaySystem) -> float:
     return float(-n * np.log(mods.min()))
 
 
-def min_unstable_imag(
-    sys: DelaySystem,
-    im_cap: float,
-    on_tol: float = 1e-9,
-) -> Optional[float]:
-    """Smallest |Im lam| over roots with Re lam >= 0, up to ``im_cap``.
-
-    Returns None when no such root exists below the cap.  Rational delays
-    use the disk polynomial (each root z with |z| <= 1 contributes the
-    family Im lam = -n Arg z + 2 pi n k, minimised by n |Arg z|); otherwise
-    strips of height pi are scanned by winding.
-    """
-    if sys.tau_rational is not None:
-        p = reduce_to_polynomial(sys)
-        if p.degree == 0:
-            return None
-        n = sys.tau_rational.den
-        roots = np.asarray(disk_roots(p, on_tol).roots)
-        sel = np.abs(roots) <= 1.0 + on_tol
-        if not sel.any():
-            return None
-        vals = n * np.abs(np.angle(roots[sel]))
-        vals = vals[vals <= im_cap]
-        return float(vals.min()) if vals.size else None
-    lam = _first_unstable_root(sys, im_cap)
+def min_unstable_imag(sys: DelaySystem, im_cap: float, start: float = 0.0) -> Optional[float]:
+    """Smallest |Im lam| over roots with Re lam >= 0 up to ``im_cap``, or None,
+    by the strip scan of :func:`_first_unstable_root` from ``start``."""
+    lam, _ = _first_unstable_root(sys, im_cap, start)
     return None if lam is None else abs(lam.imag)
 
 
-def _first_unstable_root(sys: DelaySystem, height: float) -> Optional[complex]:
-    """Root with Re lam >= -1e-8 and the least Im lam in [0, height), or None.
+def _clear_below(func, reb, height) -> bool:
+    """True iff one winding finds no zero in [-1e-9, reb] x [-1e-9, height]."""
+    rect = ComplexRect(-1e-9, reb, -1e-9, height)
+    return _winding_with_retries(func, rect, np.random.default_rng(0xCAFE))[0] == 0
 
-    Scans strips of height pi upward from the real axis by winding, under
-    the contact policy of :func:`_winding_with_retries`, and isolates the
-    roots of the first strip that holds one.
+
+def _first_unstable_root(sys: DelaySystem, height: float, start: float = 0.0) -> tuple:
+    """``(lam, top)``: the root with Re lam >= -1e-8 and the least Im lam in
+    [0, top), or None, and the height ``top`` scanned: ``height``, or
+    pi (n + 1/2) for tau = m/n if lower, as the roots repeat every 2 pi n in
+    Im and come in conjugate pairs (a negative real zero of the disk
+    polynomial puts roots on Im = pi n).
+
+    The scan starts just below ``start`` when :func:`_clear_below` confirms
+    that no root lies beneath, else at 0.  Boxes [-1e-9, re_bound] x
+    [lo - 1e-9, hi] of height max(pi, re_bound) are wound in batches of 8,
+    16, ..., 256 and read in order; a box that met a contact is wound again
+    under :func:`_winding_with_retries` before the next is read, and
+    :func:`_isolate` refines the first box with a nonzero count.  A
+    ``start`` whose box turns the phase by more than 2e5 raises ValueError.
     """
     reb = re_bound(sys)
     func = char_expsum(sys)
+    dfunc = func.derivative()
+    if sys.tau_rational is not None:
+        height = min(height, np.pi * (sys.tau_rational.den + 0.5))
+    # a root can sit on the exclusion height itself (for eps < 0 it does)
+    start = min(start, height) * (1.0 - 1e-6)
+    if start * max(map(abs, func.rates)) > 2e5:
+        raise ValueError(f"exclusion height {start:.3g} beyond the reach of one winding; enlarge eps")
+    try:
+        lo = start if start > 0 and _clear_below(func, reb, start) else 0.0
+    except OnContourZero:
+        lo = 0.0
+    step, size = max(np.pi, reb), 8
     rng = np.random.default_rng(0x5CA9)
-    j = 0
-    while j * np.pi < height:
-        lo, hi = j * np.pi, min((j + 1) * np.pi, height)
-        if hi - lo < 1e-9:
-            break
-        rect = ComplexRect(-1e-9, reb, lo - 1e-9, hi)
-        k, rect = _winding_with_retries(func, rect, rng, n0=expsum_sample_hint(func, rect))
-        if k > 0:
-            cands = [r.lam for r in isolate_and_refine(sys, rect) if r.lam.real >= -1e-8]
+    while height - lo >= 1e-9:
+        los = [a for a in lo + step * np.arange(size) if height - a >= 1e-9]
+        box = [(-1e-9, reb, a - 1e-9, min(a + step, height)) for a in los]
+        kk, lost = _rect_windings(func, box, _sample_hint(func, np.full(len(box), step)))
+        for i, k in enumerate(kk):
+            rect = ComplexRect(*box[i])
+            if i in lost:
+                k, rect = _winding_with_retries(func, rect, rng)
+            cands = [r.lam for r in _isolate(func, dfunc, rect, k, 60, 1e-10) if r.lam.real >= -1e-8]
             if cands:
-                return min(cands, key=lambda z: abs(z.imag))
-        j += 1
-    return None
+                lam = min(cands, key=lambda z: abs(z.imag))
+                # a count can miss a double root next to an edge, and Newton on f
+                # stops about 1e-8 short of one: certify it on f' instead
+                near = ComplexRect(lam.real - 1e-6, lam.real + 1e-6, lam.imag - 1e-6, lam.imag + 1e-6)
+                double = _root_in(func, dfunc, near, 2, 1e-10)
+                return (double.lam if double else lam), height
+        lo, size = box[-1][3], min(2 * size, 256)
+    return None, height

@@ -60,6 +60,7 @@ __all__ = [
     "strip_continuation",
     "find_pos_neg_cos",
     "stability_region",
+    "exclusion_constant",
     "hale_two_delay",
     "crossing_state",
     "one_gain_state",
@@ -366,6 +367,19 @@ def stability_region(tau: float, kind: CharKind) -> RegionSpec:
     return RegionSpec.interval(0.0, w)
 
 
+def exclusion_constant(base: int, c: float) -> Optional[float]:
+    """C1 of the delay-perturbation bounds: at tau = base + eps, eps != 0, the
+    equal-gain loop with gain ``c`` has no root with Re lam >= 0 and
+    |Im lam| < C1/|eps|.  C1 = pi/2 at base 0 with c > 0, and (1 - c~) pi/2
+    at base 2l with c in its window and |c| = sin(c~ pi / (2(2l - 1))); None
+    when ``c`` does not stabilise the delay ``base``."""
+    if base == 0:
+        return math.pi / 2.0 if c > 0 else None
+    if not stability_region(float(base), CharKind.CASCADE_EQUAL_GAINS).contains(c):
+        return None
+    return (1.0 - (2 * (base - 1) / math.pi) * math.asin(abs(c))) * math.pi / 2.0
+
+
 def hale_two_delay(a1: float, a2: float, a3: float) -> bool:
     """Two-delay stability test for 1 = a1 e^{-r1 lam} + a2 e^{-r2 lam} + a3 e^{-(r1+r2) lam}.
 
@@ -521,15 +535,21 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
     modulus (capped at degree ``_MAX_REDUCED_DEGREE``).  The two-gain
     cascade takes state and witness from the companion roots.  A witness
     z is mapped back by lam = -n log z and Newton-polished.  With
-    ``treat_as_irrational`` the verdict is UNSTABLE with the first root a
-    winding scan over strips of height pi finds: the two-delay criterion
-    (:func:`hale_two_delay`) fails at every finite gain, as the e^{-2 lam}
-    coefficient a1 = -1 turns its 1 + a1 > |a2 + a3| into 0 > |a2 + a3|.
+    ``treat_as_irrational`` the verdict is UNSTABLE, as the two-delay
+    criterion (:func:`hale_two_delay`) fails at every finite gain (its
+    1 + a1 > |a2 + a3| reads 0 > |a2 + a3|), and the witness is the
+    lowest-frequency root with Re lam >= -1e-8 that the strip scan of
+    :func:`min_unstable_imag` finds within 64 pi above twice its start:
+    C1/|eps| (:func:`exclusion_constant`) for equal gains at eps from a
+    delay they stabilise (at base 0 a root lies below 2 C1/|eps| + 2 pi).
     """
     if treat_as_irrational:
-        lam = _first_unstable_root(sys, 64 * np.pi)
+        base = 2 * round(sys.tau / 2)
+        C1 = exclusion_constant(base, sys.c2) if sys.kind is CharKind.CASCADE_EQUAL_GAINS else None
+        start = C1 / abs(sys.tau - base) if C1 and sys.tau != base else 0.0
+        lam, top = _first_unstable_root(sys, 2 * start + 64 * np.pi, start)
         if lam is None:
-            raise WitnessSearchExhausted("no unstable root in the first 64 strips")
+            raise WitnessSearchExhausted(f"no unstable root with |Im lam| below {top:.6g}")
         return StabilityVerdict(StabilityState.UNSTABLE, lam)
     rsys = _rational_system(sys)
     if rsys.kind is CharKind.CASCADE_FULL:

@@ -16,16 +16,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .chareq import DelaySystem, ExpSum, char_expsum, equal_gain_system
-from .contour import (
-    ComplexRect,
-    _winding_with_retries,
-    expsum_sample_hint,
-    min_unstable_imag,
-    re_bound,
-)
+from .contour import _clear_below, min_unstable_imag, re_bound
 from .polyform import StabilityState
-from .regions import classify, stability_region
-from .chareq import CharKind
+from .regions import classify, exclusion_constant
 
 __all__ = [
     "PerturbationCase",
@@ -71,16 +64,13 @@ class PerturbationCase:
         if self.base_tau == 0.0:
             if self.epsilon <= 0:
                 raise ValueError("base 0 takes epsilon > 0")
-            if self.c <= 0:
-                raise ValueError("base 0 requires c > 0")
         else:
             l = self.l if self.l is not None else int(round(self.base_tau / 2))
             if l < 1 or 2 * l != round(self.base_tau) or abs(self.base_tau - 2 * l) > 1e-12:
                 raise ValueError("base_tau must be 0 or an even integer 2l")
-            region = stability_region(float(2 * l), CharKind.CASCADE_EQUAL_GAINS)
-            if not region.contains(self.c):
-                raise ValueError(f"(2l, c) = ({2 * l}, {self.c}) is outside the stability window")
             object.__setattr__(self, "l", l)
+        if exclusion_constant(round(self.base_tau), self.c) is None:
+            raise ValueError(f"c = {self.c} does not stabilise the delay {self.base_tau}")
 
     @property
     def tau(self) -> float:
@@ -106,24 +96,19 @@ class RobustnessBounds:
 def bounds_for(case: PerturbationCase) -> RobustnessBounds:
     """Frequency bounds for the perturbed case.
 
-    Base 0: C1 = pi/2 and any fixed C2 > pi works for the exclusion side;
-    1.1*pi is used for reproducibility, while the existence cap comes from
-    S_eps.  Base 2l: with |c| = sin(c~ pi / (2(2l-1))) the constants are
-    C1 = (1 - c~) pi / 2 and C2 = pi / 2.
+    C1 is :func:`regions.exclusion_constant`.  Base 0: any fixed C2 > pi
+    works for the exclusion side; 1.1*pi is used for reproducibility, while
+    the existence cap comes from S_eps.  Base 2l: with
+    |c| = sin(c~ pi / (2(2l-1))), C1 = (1 - c~) pi / 2 and C2 = pi / 2.
     """
     eps = abs(case.epsilon)
+    C1 = exclusion_constant(round(case.base_tau), case.c)
     if case.base_tau == 0.0:
         c_tilde = None
-        C1 = math.pi / 2.0
         C2 = 1.1 * math.pi
         S_eps = math.floor(1.0 / eps) + 1 if eps > 0 else None
     else:
-        l = case.l
-        w = math.sin(math.pi / (2 * (2 * l - 1)))
-        if not 0.0 < abs(case.c) < w:
-            raise ValueError(f"|c| must lie in (0, {w:.6f}) for base 2l = {2 * l}")
-        c_tilde = (2 * (2 * l - 1) / math.pi) * math.asin(abs(case.c))
-        C1 = (1.0 - c_tilde) * math.pi / 2.0
+        c_tilde = 1.0 - 2.0 * C1 / math.pi
         C2 = math.pi / 2.0
         S_eps = math.ceil(C2 / (eps * math.pi)) - 1 if eps > 0 else None
     s_eps = math.floor(C1 / (eps * math.pi)) + 1 if eps > 0 else None
@@ -148,17 +133,15 @@ def check_low_freq_clear(case: PerturbationCase, margin_frac: float = 1e-6) -> b
     if height >= 1e4:
         raise ValueError("clearance height above the desk-scale cap 1e4; enlarge eps")
     sys = perturbed_system(case)
-    func = char_expsum(sys)
-    rect = ComplexRect(0.0, re_bound(sys), 0.0, height * (1.0 - margin_frac))
-    rng = np.random.default_rng(0xCAFE)
-    k, _ = _winding_with_retries(func, rect, rng, n0=expsum_sample_hint(func, rect))
-    return k == 0
+    return _clear_below(char_expsum(sys), re_bound(sys), height * (1.0 - margin_frac))
 
 
 def find_lambda_eps(case: PerturbationCase) -> float:
     """Lowest unstable frequency inf{|Im lam| : root with Re lam >= 0}.
 
-    Scans up to 2*C2/|eps| + 2pi (widened once if needed) and asserts the
+    The strip scan of :func:`min_unstable_imag` starts at the exclusion
+    height C1/|eps|, runs up to 2*C2/|eps| + 2pi, and if it finds nothing
+    goes on from there to twice that cap.  The result must satisfy the
     exclusion/existence sandwich C1/|eps| <= lambda_eps <= (S_eps + 1) pi.
     """
     if case.epsilon == 0.0:
@@ -167,9 +150,9 @@ def find_lambda_eps(case: PerturbationCase) -> float:
     eps = abs(case.epsilon)
     sys = perturbed_system(case)
     cap = 2.0 * bounds.C2 / eps + 2.0 * math.pi
-    val = min_unstable_imag(sys, cap)
+    val = min_unstable_imag(sys, cap, bounds.C1 / eps)
     if val is None:
-        val = min_unstable_imag(sys, 2.0 * cap)
+        val = min_unstable_imag(sys, 2.0 * cap, cap)
     if val is None:
         raise LambdaEpsNotFound(
             f"no unstable root below |Im| = {2 * cap:.2f} for tau = {case.tau}"

@@ -90,6 +90,12 @@ class TestWindingRect:
             with pytest.raises(ValueError, match="n0"):
                 winding_rect(f, rect, n0=n0)
 
+    def test_coarse_start_raised_to_the_sample_hint(self):
+        # two samples per edge alias both roots away, and the rounds of 5 and
+        # 9 samples agree on that 0
+        f = char_expsum(equal_sys(2, 1, -0.25))
+        assert winding_rect(f, ComplexRect(-1, 1, 0.5, 7), n0=2) == 2
+
     def test_doubling_round_evaluates_only_midpoints(self):
         # a simple zero well inside: no step turns by pi/2, so the count
         # settles in two rounds without bisection

@@ -12,6 +12,7 @@ from delaywave.chareq import (
     DelayGains,
     DelaySystem,
     Rational,
+    char_expsum,
     direct_feedback_system,
     equal_gain_system,
     eval_char,
@@ -289,6 +290,34 @@ class TestClassify:
         v = classify(s)
         assert v.state is not StabilityState.STABLE
         assert abs(eval_char(s, v.witness)) < 1e-9
+
+    @pytest.mark.parametrize("tau", [2.0 + 1e-3, 2.0 - 1e-3])
+    def test_irrational_path_near_stabilising_delay(self, tau):
+        # the lowest unstable root sits near |Im| = C1/|eps| = 1047, more
+        # than 300 strips of height pi above the real axis
+        s = equal_gain_system(-0.5, tau)
+        v = classify(s, treat_as_irrational=True)
+        assert v.state is StabilityState.UNSTABLE
+        assert v.witness.real >= -1e-8 and 1047.0 < v.witness.imag < 1049.0
+        f = char_expsum(s)
+        assert abs(complex(f(v.witness))) < 1e-10 * max(1.0, float(f.magnitude(v.witness)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, 20.0), st.floats(-1.5, 1.5))
+    def test_irrational_path_witness(self, tau, c):
+        # at least 1e-3 from 0 and from every even delay
+        assume(abs(tau - 2 * round(tau / 2)) >= 1e-3)
+        s = equal_gain_system(c, tau)
+        lam = classify(s, treat_as_irrational=True).witness
+        f = char_expsum(s)
+        assert lam.real >= -1e-8
+        assert abs(complex(f(lam))) < 1e-10 * max(1.0, float(f.magnitude(lam)))
+
+    def test_irrational_path_reports_height_reached(self):
+        # 2/1 with c in its window is stable; the roots repeat every 2 pi, so
+        # the scan stops at 3 pi / 2
+        with pytest.raises(regions.WitnessSearchExhausted, match="4.71239"):
+            classify(equal_gain_system(-0.5, 2.0), treat_as_irrational=True)
 
     def test_two_gain_irrational(self):
         from delaywave.chareq import DelayGains, DelaySystem

@@ -11,9 +11,11 @@ from delaywave.robustness import (
     check_low_freq_clear,
     find_lambda_eps,
     h_delta_expsum,
+    perturbed_system,
     sweep,
     witness_F_epsilon,
 )
+from delaywave.polyform import disk_roots, reduce_to_polynomial
 
 PI = math.pi
 
@@ -139,6 +141,38 @@ class TestLambdaEps:
         b = bounds_for(case)
         assert b.C1 / case.epsilon <= val <= (b.S_eps + 1) * PI
         assert val == pytest.approx(222.1441469, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "base, eps, c, expected",
+        [
+            (2.0, 1e-3, -0.5, 1048.244486817993),
+            (2.0, -1e-3, -0.5, 1047.1975511965977),
+            (2.0, 1e-4, -0.5, 10473.022683335927),
+            (2.0, -1e-4, -0.5, 10471.975511965977),
+            (0.0, 1e-3, 1.0, 3141.59265358979),
+        ],
+    )
+    def test_near_stabilising_delay_under_runtime_cap(self, base, eps, c, expected):
+        # the paper's regime: the roots come back only at |Im| ~ 1/|eps|, and
+        # the disk polynomial of the rational delay has degree 4000 to 40000
+        case = PerturbationCase(base, eps, c)
+        t0 = time.perf_counter()
+        val = find_lambda_eps(case)
+        assert time.perf_counter() - t0 < 0.5
+        assert val == pytest.approx(expected, rel=1e-12)
+        b = bounds_for(case)
+        assert b.C1 / abs(eps) - 1e-6 <= val <= (b.S_eps + 1) * PI + 1e-6
+
+    @pytest.mark.parametrize("base, eps, c", [(2.0, 1e-2, -0.5), (2.0, -1e-2, -0.5), (0.0, 1e-2, 1.0)])
+    def test_agrees_with_companion_reference(self, base, eps, c):
+        # each disk-polynomial root z with |z| <= 1 (Re lam >= 0) gives roots
+        # with Im lam = n |Arg z| + 2 pi n k; at base 0 the least, 100 pi,
+        # lies on the line Im lam = pi n of a negative real z
+        case = PerturbationCase(base, eps, c)
+        sysd = perturbed_system(case)
+        z = np.asarray(disk_roots(reduce_to_polynomial(sysd)).roots)
+        ref = (sysd.tau_rational.den * np.abs(np.angle(z[np.abs(z) <= 1.0 + 1e-9]))).min()
+        assert find_lambda_eps(case) == pytest.approx(ref, rel=1e-9)
 
 
 # ---------------------------------------------------------------- witness
