@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,9 @@ __all__ = [
 # Scaled evaluation kicks in beyond this real exponent (exp(600) is still
 # representable but products of two such terms are not).
 _EXP_GUARD = 600.0
+
+# |char(lam)| below this puts lam at (or near) a characteristic root
+_NEAR_SPECTRUM = 1e-9
 
 
 class NearSpectrum(ValueError):
@@ -103,7 +106,7 @@ def _reproduces(rat: Rational, x: float) -> bool:
     return abs(rat.value - x) <= 4.0 * math.ulp(max(1.0, abs(x)))
 
 
-def rational_from_float(x: float, max_den: int = 10**6) -> Optional[Rational]:
+def rational_from_float(x: float) -> Optional[Rational]:
     """Small-denominator rational reproducing ``x`` to a few ulps, or None.
 
     Recovers values that genuinely are small fractions (decimal literals,
@@ -112,7 +115,7 @@ def rational_from_float(x: float, max_den: int = 10**6) -> Optional[Rational]:
     """
     if not math.isfinite(x):
         return None
-    frac = Fraction(x).limit_denominator(max_den)
+    frac = Fraction(x).limit_denominator(10**6)
     rat = Rational(frac.numerator, frac.denominator)
     return rat if _reproduces(rat, x) else None
 
@@ -328,14 +331,14 @@ def g_expsum(tau: float, offset: float = 0.0) -> ExpSum:
     return ExpSum.of([(-0.5, tau), (-0.5, tau - 2.0), (-offset, 0.0)])
 
 
-def eigenfunction(sys: DelaySystem, lam: complex, grid_n: int, tol: float = 1e-9):
+def eigenfunction(sys: DelaySystem, lam: complex, grid_n: int):
     """Sample the eigenfunction triple (f, g, h) at ``grid_n``+1 uniform points.
 
     For lam != 0:  f = e^{-tau lam} sinh(lam x),  g = lam f,
     h = lam cosh(lam) e^{-tau lam x}.  For lam = 0 (admissible only when
     c1 = -1):  (x, 1, 1).
 
-    Raises :class:`NotACharRoot` if |eval_char(sys, lam)| >= tol.
+    Raises :class:`NotACharRoot` if |eval_char(sys, lam)| >= ``_NEAR_SPECTRUM``.
     """
     if grid_n < 1:
         raise ValueError("grid_n must be positive")
@@ -345,8 +348,8 @@ def eigenfunction(sys: DelaySystem, lam: complex, grid_n: int, tol: float = 1e-9
             raise NotACharRoot("lambda = 0 is an eigenvalue only when c1 = -1")
         return x, x.copy(), np.ones_like(x), np.ones_like(x)
     res = abs(eval_char(sys, lam))
-    if res >= tol:
-        raise NotACharRoot(f"|char({lam})| = {res:.3e} >= {tol:.1e}")
+    if res >= _NEAR_SPECTRUM:
+        raise NotACharRoot(f"|char({lam})| = {res:.3e} >= {_NEAR_SPECTRUM:.1e}")
     tau = sys.tau
     f = np.exp(-tau * lam) * np.sinh(lam * x)
     g = lam * f
@@ -399,7 +402,6 @@ def resolvent_apply(
     sys: DelaySystem,
     lam: complex,
     y,
-    char_tol: float = 1e-9,
     quad_tol: float = 1e-5,
 ):
     """Apply the resolvent (lam I - A)^{-1} to a sampled triple ``y``.
@@ -408,12 +410,12 @@ def resolvent_apply(
     ----------
     y : tuple of three equal-length 1-D arrays (f1, g1, h1) sampled on the
         uniform grid over [0, 1] (at least 9 points).
-    char_tol : raise :class:`NearSpectrum` when |eval_char(sys, lam)| falls
-        below this (lam is then at or near an eigenvalue).
     quad_tol : raise :class:`QuadratureTooCoarse` when halving the sample
         count moves the output by more than this in max norm.
 
-    Returns the triple (f, g, h) on the same grid.  The construction solves
+    Raises :class:`NearSpectrum` when |eval_char(sys, lam)| falls below
+    ``_NEAR_SPECTRUM`` (lam is then at or near an eigenvalue).  Returns the
+    triple (f, g, h) on the same grid.  The construction solves
     the shifted generator equations exactly up to quadrature error and
     satisfies the generator's domain boundary conditions.  Intended for
     desk-scale arguments: the transport quadrature carries exp(tau*Re lam)
@@ -428,8 +430,8 @@ def resolvent_apply(
     lam = complex(lam)
     if abs(lam) < 1e-6:
         raise NearSpectrum("resolvent formula is singular at the origin; shift lam")
-    if abs(eval_char(sys, lam)) < char_tol:
-        raise NearSpectrum(f"lam = {lam} is within {char_tol:.1e} of the spectrum")
+    if abs(eval_char(sys, lam)) < _NEAR_SPECTRUM:
+        raise NearSpectrum(f"lam = {lam} is within {_NEAR_SPECTRUM:.1e} of the spectrum")
     x = np.linspace(0.0, 1.0, n + 1)
     fine = _resolvent_on_grid(sys, lam, x, f1, g1, h1)
     coarse = _resolvent_on_grid(sys, lam, x[::2], f1[::2], g1[::2], h1[::2])
@@ -437,34 +439,6 @@ def resolvent_apply(
     if err > quad_tol:
         raise QuadratureTooCoarse(f"coarse/fine disagreement {err:.2e} > {quad_tol:.1e}")
     return fine
-
-
-def resolvent_apply_adaptive(
-    sys: DelaySystem,
-    lam: complex,
-    y_funcs: Sequence[Callable[[np.ndarray], np.ndarray]],
-    n0: int = 256,
-    tol: float = 1e-8,
-    max_doublings: int = 8,
-):
-    """Resolvent with adaptive grid doubling for callable input data.
-
-    Doubles the grid until two successive outputs agree to ``tol`` in max
-    norm at the coarse nodes; returns (x, (f, g, h)) on the final grid.
-    """
-    lam = complex(lam)
-    n = n0
-    x = np.linspace(0.0, 1.0, n + 1)
-    prev = _resolvent_on_grid(sys, lam, x, *(np.asarray(f(x), dtype=complex) for f in y_funcs))
-    for _ in range(max_doublings):
-        n *= 2
-        x = np.linspace(0.0, 1.0, n + 1)
-        cur = _resolvent_on_grid(sys, lam, x, *(np.asarray(f(x), dtype=complex) for f in y_funcs))
-        err = max(np.abs(p - c[::2]).max() for p, c in zip(prev, cur))
-        if err < tol:
-            return x, cur
-        prev = cur
-    raise QuadratureTooCoarse(f"no convergence to {tol:.1e} after {max_doublings} doublings")
 
 
 def fd_apply_shifted_generator(sys: DelaySystem, lam: complex, x, X):

@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from typing import List, Optional
 
@@ -35,6 +36,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts like a negative number is a value, not an
+        # option, in exponent notation or as a comma-separated list too
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -249,10 +256,7 @@ def cmd_simulate(args) -> int:
     _write_csv(args.output, ["t", "E"], list(trace.samples))
     if args.dump_state:
         _write_json(args.dump_state, pdesim.state_dict(trace.final_state))
-    if args.c1 == args.c2:
-        sysd = chareq.equal_gain_system(args.c1, rat.value, rat)
-    else:
-        sysd = DelaySystem(DelayGains(args.c1, args.c2), rat.value, rat, CharKind.CASCADE_FULL)
+    sysd = DelaySystem(DelayGains(args.c1, args.c2), rat.value, rat, CharKind.CASCADE_FULL)
     s_abs = contour.spectral_abscissa(sysd)
     two_s = None if s_abs == contour.NO_ROOTS else 2.0 * s_abs
     t0, t1 = pdesim.default_fit_window(two_s or 0.0, args.T)

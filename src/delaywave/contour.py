@@ -26,7 +26,8 @@ Double roots are certified structurally rather than by ever-finer bisection:
 principal-value tracking cannot see the full 2*pi swing of a quadratic dip
 that sits close to an edge, so a winding-2 box first tries Newton on the
 derivative and accepts a multiplicity-2 root when the residual puts the
-would-be pair closer than double precision can separate.
+would-be pair closer than double precision can separate, and a simple
+root gives way to such a double root within 1e-6 of it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ __all__ = [
 ]
 
 NO_ROOTS = float("-inf")
+
+# a sample of |func| below this on a contour is a contact with a zero
+_ZERO_TOL = 1e-12
+# bisection depth cap of root isolation
+_MAX_DEPTH = 60
 
 
 class OnContourZero(ArithmeticError):
@@ -211,7 +217,7 @@ def _grid(n):
     return pid, j, t
 
 
-def _windings(func, path, n, zero_tol):
+def _windings(func, path, n):
     """Winding numbers of ``func`` around 0 along the closed paths
     ``path(p, t)``, p = 0 .. len(n) - 1, in one batch.
 
@@ -246,7 +252,7 @@ def _windings(func, path, n, zero_tol):
             kept, w = w, np.empty(pid.size, dtype=w.dtype)
             w[~fresh] = kept
             w[fresh] = func(path(pid[fresh], t[fresh]))
-        total, lost = _track(func, path, pid, t, w, n.size, zero_tol)
+        total, lost = _track(func, path, pid, t, w, n.size, _ZERO_TOL)
         total = total.tolist()
         still = []
         for p in live:
@@ -274,7 +280,7 @@ _CORNER_RE = np.array([0, 1, 1, 0, 0])
 _CORNER_IM = np.array([2, 2, 3, 3, 2])
 
 
-def _rect_windings(func, box, n0, zero_tol=1e-12):
+def _rect_windings(func, box, n0):
     """:func:`_windings` along the boundaries of the rectangles ``box[p] =
     (re_min, re_max, im_min, im_max)``, counter-clockwise, one edge per
     quarter of t, each edge from ``n0[p]`` samples."""
@@ -291,7 +297,7 @@ def _rect_windings(func, box, n0, zero_tol=1e-12):
         at = 5 * pid + edge
         return corners[at] + sides[at] * (s - edge)
 
-    return _windings(func, path, 4 * np.asarray(n0) - 3, zero_tol)
+    return _windings(func, path, 4 * np.asarray(n0) - 3)
 
 
 def _single(result) -> int:
@@ -306,7 +312,6 @@ def winding_rect(
     func: Callable[[np.ndarray], np.ndarray],
     rect: ComplexRect,
     n0: int = 17,
-    zero_tol: float = 1e-12,
 ) -> int:
     """Winding number of ``func`` around 0 along the rectangle boundary.
 
@@ -316,14 +321,14 @@ def winding_rect(
     under sample doubling; an :class:`ExpSum` starts from at least
     :func:`expsum_sample_hint`, as coarser rounds can agree on an alias.
     Raises :class:`OnContourZero` when a sample of |func| drops below
-    ``zero_tol``; the caller should perturb the rectangle and retry.
+    ``_ZERO_TOL``; the caller should perturb the rectangle and retry.
     """
     if n0 < 2:
         raise ValueError(f"n0 = {n0}: each edge needs at least 2 samples")
     if isinstance(func, ExpSum):
         n0 = max(n0, expsum_sample_hint(func, rect))
     box = [(rect.re_min, rect.re_max, rect.im_min, rect.im_max)]
-    return _single(_rect_windings(func, box, [n0], zero_tol))
+    return _single(_rect_windings(func, box, [n0]))
 
 
 def expsum_sample_hint(es: ExpSum, rect: ComplexRect) -> int:
@@ -357,11 +362,11 @@ def count_in_disk(p) -> int:
     def on_circle(t):
         return sum(a[j] * np.exp(2j * np.pi * j * t) for j in k)
 
-    return _single(_windings(on_circle, lambda pid, t: t, [max(65, 8 * p.degree + 1)], 1e-12))
+    return _single(_windings(on_circle, lambda pid, t: t, [max(65, 8 * p.degree + 1)]))
 
 
-def count_in_strip(sys: DelaySystem, a: int, b: int, re_max: Optional[float] = None) -> int:
-    """Number of solutions of g(lam) = c in (0, re_max) x (a*pi, b*pi).
+def count_in_strip(sys: DelaySystem, a: int, b: int) -> int:
+    """Number of solutions of g(lam) = c in (0, re_bound) x (a*pi, b*pi).
 
     ``a`` and ``b`` must be nonzero integers with a < b; on the horizontal
     edges Im(lam) = a*pi, b*pi the map g stays off the real axis, so a zero
@@ -372,10 +377,8 @@ def count_in_strip(sys: DelaySystem, a: int, b: int, re_max: Optional[float] = N
         raise ValueError("strip counting applies to the equal-gain variant")
     if not (isinstance(a, int) and isinstance(b, int)) or a == 0 or b == 0 or a >= b:
         raise ValueError("need nonzero integers a < b")
-    if re_max is None:
-        re_max = re_bound(sys)
     func = g_expsum(sys.tau, sys.c2)
-    rect = ComplexRect(0.0, re_max, a * np.pi, b * np.pi)
+    rect = ComplexRect(0.0, re_bound(sys), a * np.pi, b * np.pi)
     return winding_rect(func, rect)
 
 
@@ -461,35 +464,35 @@ _SPLIT_FRACS = (0.5, 0.53, 0.46, 0.57, 0.42, 0.61, 0.38, 0.65, 0.35)
 def isolate_and_refine(
     sys: DelaySystem,
     rect: ComplexRect,
-    resid_tol: float = 1e-10,
-    max_depth: int = 60,
+    max_depth: int = _MAX_DEPTH,
 ) -> List[RootRecord]:
     """Locate every characteristic root of ``sys`` inside ``rect``.
 
     Rectangles are bisected, one level at a time, until each piece holds
     winding <= 1 (or a certified double root); Newton finishes the job in
     each piece that holds a root.  A root is accepted when
-    |f| < ``resid_tol`` * max(1, sum_j |coef_j e^{rate_j lam}|), a backward
+    |f| < 1e-10 * max(1, sum_j |coef_j e^{rate_j lam}|), a backward
     error; its record keeps the absolute |f|.  Multiplicity 2 is
     assigned by refining the zero of the derivative and checking that the
     residual of the function there is below what two double-precision
-    simple roots could produce.
+    simple roots could produce; a simple root is checked that way too, as a
+    count can miss a double root next to an edge.
     """
     func = char_expsum(sys)
     dfunc = func.derivative()
     rng = np.random.default_rng(0xC0417)
     k, rect = _winding_with_retries(func, rect, rng)
-    out = _isolate(func, dfunc, rect, k, max_depth, resid_tol)
+    out = _isolate(func, dfunc, rect, k, max_depth)
     out.sort(key=lambda r: (r.lam.imag, r.lam.real))
     return out
 
 
-def _backward_tol(func, z, resid_tol) -> float:
-    """Residual below which ``z`` is accepted as a root: ``resid_tol`` relative
-    to the size of the terms that cancel there, and never below ``resid_tol``.
+def _backward_tol(func, z) -> float:
+    """Residual below which ``z`` is accepted as a root: 1e-10 relative to the
+    size of the terms that cancel there, and never below 1e-10.
     Far to the right the terms grow like e^{2 Re z}, and an absolute bound is
     out of reach of double precision."""
-    return resid_tol * max(1.0, float(func.magnitude(z)))
+    return 1e-10 * max(1.0, float(func.magnitude(z)))
 
 
 def _newton_in_box(func, rect):
@@ -502,14 +505,20 @@ def _newton_in_box(func, rect):
     return z if z is not None and rect.contains(z, 1e-9) else None
 
 
-def _root_in(func, dfunc, rect, k, resid_tol) -> Optional[RootRecord]:
+def _root_in(func, dfunc, rect, k) -> Optional[RootRecord]:
     """The root of a box of winding ``k``, when Newton certifies it: a simple
-    root for k = 1, a double root for k = 2; else None."""
+    root for k = 1, a double root for k = 2; else None.  A simple root gives
+    way to a double root within 1e-6, which may lie outside ``rect``, as
+    Newton on f stops about 1e-8 short of one."""
     if k == 1:
         z = _newton_in_box(func, rect)
         if z is not None:
             res = abs(complex(func(z)))
-            if res < _backward_tol(func, z, resid_tol):
+            if res < _backward_tol(func, z):
+                d1, d2 = dfunc.with_slope(z)
+                if abs(d1) < 2e-6 * abs(d2):  # else Newton on f' leaves ``near`` at once
+                    near = ComplexRect(z.real - 1e-6, z.real + 1e-6, z.imag - 1e-6, z.imag + 1e-6)
+                    return _root_in(func, dfunc, near, 2) or RootRecord(z, res, 1)
                 return RootRecord(z, res, 1)
     if k == 2:
         zd = _newton_in_box(dfunc, rect)
@@ -517,22 +526,24 @@ def _root_in(func, dfunc, rect, k, resid_tol) -> Optional[RootRecord]:
             fz = abs(complex(func(zd)))
             f2 = abs(dfunc.with_slope(zd)[1])
             sep = math.sqrt(2.0 * fz / f2) if f2 > 0 else math.inf
-            if sep < 1e-7 and fz < _backward_tol(func, zd, resid_tol):
+            if sep < 1e-7 and fz < _backward_tol(func, zd):
                 return RootRecord(zd, fz, 2)
     return None
 
 
-def _isolate(func, dfunc, rect, k, max_depth, resid_tol) -> List[RootRecord]:
+def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
     """The roots in ``rect`` (winding ``k``), by bisection level by level.
 
-    Each round first tries :func:`_root_in` on every new box, then winds
-    both halves of every box that must split in one batched pass.  A split
-    whose halves touch a root, or whose counts do not add up to the box's,
-    is retried at the next fraction of ``_SPLIT_FRACS`` in the next batch.
-    Every box carries its path from ``rect`` (0 for the lower half, 1 for
-    the upper), and of several failures the one that depth-first recursion
-    would meet first is raised: once a box has failed, boxes that come
-    after it in that order are dropped.
+    Each round first tries :func:`_root_in` on every new box, keeping the
+    root it certifies only if the box holds it, so that a double root is
+    reported once, then winds both halves of every box that must split in
+    one batched pass.  A split whose halves touch a root, or whose counts do
+    not add up to the box's, is retried at the next fraction of
+    ``_SPLIT_FRACS`` in the next batch.  Every box carries its path from
+    ``rect`` (0 for the lower half, 1 for the upper), and of several
+    failures the one that depth-first recursion would meet first is raised:
+    once a box has failed, boxes that come after it in that order are
+    dropped.
     """
     out: List[RootRecord] = []
     boxes = [(rect, k, 0, ())] if k else []  # (box, winding, depth, path)
@@ -542,9 +553,10 @@ def _isolate(func, dfunc, rect, k, max_depth, resid_tol) -> List[RootRecord]:
         for rect, k, depth, key in boxes:
             if failed and key > failed[0]:
                 continue
-            rec = _root_in(func, dfunc, rect, k, resid_tol)
+            rec = _root_in(func, dfunc, rect, k)
             if rec is not None:
-                out.append(rec)
+                if rect.contains(rec.lam, 1e-9):
+                    out.append(rec)
             elif k > 2 and rect.diag < 1e-7:
                 failed = key, MultiplicityCapExceeded(
                     f"winding {k} in a box of diameter {rect.diag:.1e}; "
@@ -667,13 +679,8 @@ def _first_unstable_root(sys: DelaySystem, height: float, start: float = 0.0) ->
             rect = ComplexRect(*box[i])
             if i in lost:
                 k, rect = _winding_with_retries(func, rect, rng)
-            cands = [r.lam for r in _isolate(func, dfunc, rect, k, 60, 1e-10) if r.lam.real >= -1e-8]
+            cands = [r.lam for r in _isolate(func, dfunc, rect, k, _MAX_DEPTH) if r.lam.real >= -1e-8]
             if cands:
-                lam = min(cands, key=lambda z: abs(z.imag))
-                # a count can miss a double root next to an edge, and Newton on f
-                # stops about 1e-8 short of one: certify it on f' instead
-                near = ComplexRect(lam.real - 1e-6, lam.real + 1e-6, lam.imag - 1e-6, lam.imag + 1e-6)
-                double = _root_in(func, dfunc, near, 2, 1e-10)
-                return (double.lam if double else lam), height
+                return min(cands, key=lambda z: abs(z.imag)), height
         lo, size = box[-1][3], min(2 * size, 256)
     return None, height

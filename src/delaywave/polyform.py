@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+# a root within this of |z| = 1 counts as on the unit circle
+_ON_CIRCLE_TOL = 1e-9
+
+
 class StabilityState(Enum):
     STABLE = "stable"
     MARGINAL = "marginal"
@@ -54,7 +58,7 @@ class PolyReal:
     stripped_leading: int = 0
 
     @classmethod
-    def from_coeffs(cls, coeffs, stripped_extra: int = 0) -> "PolyReal":
+    def from_coeffs(cls, coeffs) -> "PolyReal":
         a = [float(v) for v in coeffs]
         stripped = 0
         while len(a) > 1 and a[-1] == 0.0:
@@ -62,7 +66,7 @@ class PolyReal:
             stripped += 1
         if not a:
             a = [0.0]
-        return cls(tuple(a), stripped + stripped_extra)
+        return cls(tuple(a), stripped)
 
     @property
     def degree(self) -> int:
@@ -107,13 +111,13 @@ def reduce_to_polynomial(sys: DelaySystem) -> PolyReal:
     return PolyReal.from_coeffs(a)
 
 
-def disk_roots(p: PolyReal, tol: float = 1e-9) -> DiskRootReport:
+def disk_roots(p: PolyReal) -> DiskRootReport:
     """All roots of ``p`` via the companion matrix, classified by modulus.
 
     One Newton polish per root, kept only where it is finite (p'(z) = 0, or
     a huge root from a nearly vanishing leading coefficient overflowing p);
-    roots with | |z| - 1 | < tol count as on the unit circle.  A degree-0
-    polynomial yields the empty report.
+    roots with | |z| - 1 | < ``_ON_CIRCLE_TOL`` count as on the unit
+    circle.  A degree-0 polynomial yields the empty report.
     """
     if p.degree == 0:
         return DiskRootReport((), 0, 0, 0, p.stripped_leading)
@@ -123,7 +127,7 @@ def disk_roots(p: PolyReal, tol: float = 1e-9) -> DiskRootReport:
         polished = roots - np.polyval(p.coeffs[::-1], roots) / np.polyval(dcoef[::-1], roots)
     roots = np.where(np.isfinite(polished), polished, roots)
     mod = np.abs(roots)
-    on = np.abs(mod - 1.0) < tol
+    on = np.abs(mod - 1.0) < _ON_CIRCLE_TOL
     inside = (~on) & (mod < 1.0)
     outside = (~on) & (mod > 1.0)
     return DiskRootReport(
@@ -209,16 +213,16 @@ class PolyStability:
         return jury_all_inside(self.poly.reversed())
 
 
-def stability_from_poly(p: PolyReal, tol: float = 1e-9) -> PolyStability:
+def stability_from_poly(p: PolyReal) -> PolyStability:
     """Three-way verdict from the disk-root oracle, with a Jury cross-route.
 
-    stable   : no roots with |z| <= 1 (within tol of the circle counts as on)
+    stable   : no roots with |z| <= 1 (within ``_ON_CIRCLE_TOL`` counts as on)
     marginal : no roots strictly inside, at least one on the circle
     unstable : at least one root strictly inside
 
     The Jury route, ``jury_stable``, runs only when it is read.
     """
-    rep = disk_roots(p, tol)
+    rep = disk_roots(p)
     if rep.count_inside > 0:
         state = StabilityState.UNSTABLE
     elif rep.count_on > 0:

@@ -40,7 +40,7 @@ from .chareq import (
     rational_from_float,
 )
 from .contour import _first_unstable_root, _newton
-from .polyform import PolyReal, StabilityState, reduce_to_polynomial, stability_from_poly
+from .polyform import _ON_CIRCLE_TOL, PolyReal, StabilityState, reduce_to_polynomial, stability_from_poly
 
 __all__ = [
     "CriticalSet",
@@ -114,10 +114,10 @@ class StabilityVerdict:
     witness: Optional[complex]
 
 
-def _dedup_sorted(values, tol=1e-12) -> tuple:
+def _dedup_sorted(values) -> tuple:
     out: List[float] = []
     for v in sorted(values):
-        if not out or abs(v - out[-1]) > tol:
+        if not out or abs(v - out[-1]) > 1e-12:
             out.append(v)
     return tuple(out)
 
@@ -177,35 +177,25 @@ def _disk_poly(m: int, n: int, c: float) -> PolyReal:
     return reduce_to_polynomial(equal_gain_system(c, m / n, Rational(m, n)))
 
 
-def _sign_change_zeros(f, x) -> List[float]:
-    """Zeros of ``f`` at its sign changes on the grid ``x``, bisected 80 times."""
-    s = np.sign(f(x))
-    out: List[float] = []
-    for i in np.flatnonzero(s[:-1] * s[1:] < 0):
-        a, b = x[i], x[i + 1]
-        fa = f(a)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        out.append(0.5 * (a + b))
-    return out
-
-
-def critical_set_strip(tau: float, a: int, b: int, grid: int = 40001) -> CriticalSet:
+def critical_set_strip(tau: float, a: int, b: int) -> CriticalSet:
     """Real values taken by g on the imaginary-axis segment [a*pi, b*pi].
 
-    Numeric counterpart of the circle set for non-rational delays: sign
-    changes of Im g(i beta) are bisected and the corresponding Re g
-    collected.
+    The counterpart of the circle set for non-rational delays, in closed
+    form: g(i beta) = -e^{i (tau-1) beta} cos(beta), so Im g vanishes at
+    beta = k pi / (tau-1), where g = -(-1)^k cos(k pi / (tau-1)), and at
+    beta = (j + 1/2) pi, where g = 0.  At tau = 1, g is real along the
+    whole axis and ValueError is raised.
     """
-    beta = np.linspace(a * np.pi, b * np.pi, grid)
-    zeros = _sign_change_zeros(lambda x: -0.5 * (np.sin(tau * x) + np.sin((tau - 2.0) * x)), beta)
-    vals = [-0.5 * (math.cos(tau * b0) + math.cos((tau - 2.0) * b0)) for b0 in zeros]
-    return CriticalSet(_dedup_sorted(vals, 1e-9), "C_ab_numeric")
+    if tau == 1.0:
+        raise ValueError("tau = 1: g is real along the whole imaginary axis")
+    d = tau - 1.0
+    lo, hi = sorted((a, b))
+    k0, k1 = sorted((lo * d, hi * d))
+    ks = range(math.ceil(k0), math.floor(k1) + 1)
+    vals = [(2 * (k % 2) - 1) * math.cos(k * math.pi / d) for k in ks]
+    if math.ceil(lo - 0.5) <= hi - 0.5:
+        vals.append(0.0)
+    return CriticalSet(_dedup_sorted(vals), "C_ab")
 
 
 def nearest_boundary(m: int) -> float:
@@ -337,9 +327,9 @@ def find_pos_neg_cos(tau: float, bound: int) -> Tuple[int, int]:
     raise SearchExhausted(f"no index with {missing} cosine within |k| <= {bound}")
 
 
-def _even_integer(tau: float, tol: float = 1e-12) -> Optional[int]:
+def _even_integer(tau: float) -> Optional[int]:
     t = round(tau)
-    if abs(tau - t) <= tol and t >= 2 and t % 2 == 0:
+    if abs(tau - t) <= 1e-12 and t >= 2 and t % 2 == 0:
         return int(t)
     return None
 
@@ -586,7 +576,7 @@ def _companion_verdict(sys: DelaySystem, state: Optional[StabilityState] = None)
     if state is StabilityState.UNSTABLE:
         z = roots[np.argmin(np.abs(roots))]
     else:
-        on = roots[np.abs(np.abs(roots) - 1.0) < 1e-9]
+        on = roots[np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE_TOL]
         z = on[np.argmin(np.abs(np.angle(on)))]
     return _polished(sys, state, -n * np.log(complex(z)))
 
@@ -595,14 +585,13 @@ def region_boundaries_bisect(
     tau: float,
     kind: CharKind,
     tol: float = 1e-7,
-    scan: Tuple[float, float, float] = (-3.0, 3.0, 0.05),
     tau_rational=None,
 ) -> Optional[Tuple[float, float]]:
     """Oracle-backed region endpoints: bisect the stable-or-not verdict over the gain.
 
-    Returns (lower, upper) to within ``tol``, or None when no stable gain is
-    found on the scan grid.  Independent of the closed-form window, which it
-    is used to cross-check.  Each step asks only whether the disk polynomial
+    Returns (lower, upper) to within ``tol``, or None when no gain of the
+    grid -3, -2.95, ..., 3 is stable.  Independent of the closed-form
+    window, which it is used to cross-check.  Each step asks only whether the disk polynomial
     is stable, and the exact crossing count (:func:`crossing_state`)
     answers: no polynomial, roots, witness or degree cap.  The bisection
     stops at adjacent floats, where no midpoint lies strictly between.
@@ -623,8 +612,7 @@ def region_boundaries_bisect(
         if not stable(c0):
             c0 = None
     if c0 is None:
-        lo, hi, step = scan
-        for c in np.arange(lo, hi + 0.5 * step, step):
+        for c in np.arange(-3.0, 3.025, 0.05):
             if stable(float(c)):
                 c0 = float(c)
                 break

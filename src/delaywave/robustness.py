@@ -42,7 +42,7 @@ class WindowEmpty(ArithmeticError):
 
 
 class LambdaEpsNotFound(ArithmeticError):
-    """No unstable root found below the existence cap (after one widening)."""
+    """No unstable root found below twice the existence cap."""
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ def perturbed_system(case: PerturbationCase) -> DelaySystem:
     return equal_gain_system(case.c, case.tau)
 
 
-def check_low_freq_clear(case: PerturbationCase, margin_frac: float = 1e-6) -> bool:
-    """True iff no root lies in Re >= 0 with |Im lam| below (1 - margin) C1/|eps|.
+def check_low_freq_clear(case: PerturbationCase) -> bool:
+    """True iff no root lies in Re >= 0 with |Im lam| below (1 - 1e-6) C1/|eps|.
 
     At eps = 0 the base system is exponentially stable, so every height is
     clear and the check reduces to the classifier.  By conjugate symmetry
@@ -133,16 +133,16 @@ def check_low_freq_clear(case: PerturbationCase, margin_frac: float = 1e-6) -> b
     if height >= 1e4:
         raise ValueError("clearance height above the desk-scale cap 1e4; enlarge eps")
     sys = perturbed_system(case)
-    return _clear_below(char_expsum(sys), re_bound(sys), height * (1.0 - margin_frac))
+    return _clear_below(char_expsum(sys), re_bound(sys), height * (1.0 - 1e-6))
 
 
 def find_lambda_eps(case: PerturbationCase) -> float:
     """Lowest unstable frequency inf{|Im lam| : root with Re lam >= 0}.
 
     The strip scan of :func:`min_unstable_imag` starts at the exclusion
-    height C1/|eps|, runs up to 2*C2/|eps| + 2pi, and if it finds nothing
-    goes on from there to twice that cap.  The result must satisfy the
-    exclusion/existence sandwich C1/|eps| <= lambda_eps <= (S_eps + 1) pi.
+    height C1/|eps| and runs up to twice the cap 2*C2/|eps| + 2pi; it stops
+    at the first root.  The result must satisfy the exclusion/existence
+    sandwich C1/|eps| <= lambda_eps <= (S_eps + 1) pi.
     """
     if case.epsilon == 0.0:
         raise ValueError("eps = 0 has no unstable roots; the sweep reports it as absent")
@@ -150,9 +150,7 @@ def find_lambda_eps(case: PerturbationCase) -> float:
     eps = abs(case.epsilon)
     sys = perturbed_system(case)
     cap = 2.0 * bounds.C2 / eps + 2.0 * math.pi
-    val = min_unstable_imag(sys, cap, bounds.C1 / eps)
-    if val is None:
-        val = min_unstable_imag(sys, 2.0 * cap, cap)
+    val = min_unstable_imag(sys, 2.0 * cap, bounds.C1 / eps)
     if val is None:
         raise LambdaEpsNotFound(
             f"no unstable root below |Im| = {2 * cap:.2f} for tau = {case.tau}"
@@ -166,11 +164,9 @@ def find_lambda_eps(case: PerturbationCase) -> float:
     return float(val)
 
 
-def h_delta_expsum(l: int, delta: float, offset: float = 0.0) -> ExpSum:
-    """h_delta(lam) - offset with h_delta(lam) = -e^{delta lam} e^{2l lam} (1 + e^{-2 lam}) / 2."""
-    return ExpSum.of(
-        [(-0.5, 2 * l + delta), (-0.5, 2 * l + delta - 2.0), (-offset, 0.0)]
-    )
+def h_delta_expsum(l: int, delta: float) -> ExpSum:
+    """h_delta(lam) = -e^{delta lam} e^{2l lam} (1 + e^{-2 lam}) / 2."""
+    return ExpSum.of([(-0.5, 2 * l + delta), (-0.5, 2 * l + delta - 2.0)])
 
 
 @dataclass(frozen=True)

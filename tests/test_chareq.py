@@ -22,7 +22,6 @@ from delaywave.chareq import (
     fd_apply_shifted_generator,
     rational_from_float,
     resolvent_apply,
-    resolvent_apply_adaptive,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-3, max_value=3)
@@ -374,19 +373,6 @@ class TestResolvent:
         wiggly = (np.sin(6 * np.pi * x) * x, np.cos(7 * np.pi * x), np.sin(5 * np.pi * x))
         with pytest.raises(QuadratureTooCoarse):
             resolvent_apply(s, 1 + 1j, wiggly, quad_tol=1e-9)
-
-    def test_adaptive_matches_fixed(self):
-        s = equal_gain_system(-0.25, 2.0)
-        funcs = (
-            lambda x: np.sin(np.pi * x / 2),
-            lambda x: np.cos(np.pi * x),
-            lambda x: np.ones_like(x),
-        )
-        x, X = resolvent_apply_adaptive(s, 1 + 1j, funcs, n0=128, tol=1e-8)
-        y = tuple(f(x) for f in funcs)
-        Xf = resolvent_apply(s, 1 + 1j, y)
-        for a, b in zip(X, Xf):
-            assert np.abs(a - b).max() < 1e-12
 
 
 # ---------------------------------------------------------------- cross-variant roots

@@ -112,6 +112,43 @@ class TestRoots:
             assert int(row["multiplicity"]) == 1
             assert float(row["residual"]) < 1e-10
 
+    def test_double_root_next_to_an_edge(self, capsys):
+        # i pi is a double root of (e^lam + 1)^2, 1.6e-6 below the top edge
+        code, out, _ = run(
+            capsys, "roots", "--tau", "1/1", "--c1", "1", "--c2", "1",
+            "--rect", " -1.6e-6", "1.38", " -1.6e-6", "3.1415943",
+        )
+        assert code == 0
+        (row,) = csv.DictReader(out.splitlines())
+        assert float(row["im"]) == pytest.approx(math.pi, abs=1e-9)
+        assert int(row["multiplicity"]) == 2
+
+
+class TestNegativeExponent:
+    """A negative number in exponent notation is a value, not an option."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-eps", "--base", "2", "--c", "-0.5", "--eps", "-1e-3"),
+            ("roots", "--tau", "1/1", "--c1", "1", "--c2", "1", "--rect", "-1.6e-6", "1.38", "-1.6e-6", "3.14"),
+            ("count", "--tau", "2/1", "--c", "-2.5e-1", "--disk"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_accepted(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out
+
+    def test_values_as_typed(self, capsys):
+        code, out, _ = run(capsys, "sweep-eps", "--base", "2", "--c", "-5e-1", "--eps", "-1e-3,1e-3")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [float(r["eps"]) for r in rows] == [-1e-3, 1e-3]
+        assert all(r["error"] == "" for r in rows)
+        assert float(rows[0]["lambda_eps"]) == pytest.approx(1047.1975512, abs=1e-6)
+        assert float(rows[1]["lambda_eps"]) == pytest.approx(1048.2444868, abs=1e-6)
+
 
 class TestCount:
     def test_disk(self, capsys):

@@ -100,8 +100,66 @@ class TestCriticalSetE:
 def test_critical_set_strip_contains_known_value():
     # tau = 2.5: g(i 2pi/3) = -0.5
     cs = critical_set_strip(2.5, -2, 2)
-    assert cs.source == "C_ab_numeric"
+    assert cs.source == "C_ab"
     assert any(abs(v + 0.5) < 1e-9 for v in cs.values)
+
+
+class TestCriticalSetStrip:
+    def test_exact_values(self):
+        # g(0) = -1 and g(+-2 pi i) = 1 sit on grid nodes of a uniform search
+        values = critical_set_strip(2.5, -2, 2).values
+        assert len(values) == 5
+        assert np.allclose(values, (-1.0, -0.5, 0.0, 0.5, 1.0), rtol=0, atol=1e-12)
+
+    def test_tau_one_raises(self):
+        # g(i beta) = -cos(beta)^2 is real along the whole axis
+        with pytest.raises(ValueError):
+            critical_set_strip(1.0, -2, 2)
+
+    @staticmethod
+    def _sign_change_values(tau, a, b, nodes):
+        """Re g(i beta) at the sign changes of Im g on a uniform grid of
+        [a pi, b pi], each bisected 80 times."""
+
+        def im_g(x):
+            return -0.5 * (np.sin(tau * x) + np.sin((tau - 2.0) * x))
+
+        beta = np.linspace(a * math.pi, b * math.pi, nodes)
+        s = np.sign(im_g(beta))
+        out = []
+        for i in np.flatnonzero(s[:-1] * s[1:] < 0):
+            lo, hi = beta[i], beta[i + 1]
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if np.sign(im_g(mid)) == s[i]:
+                    lo = mid
+                else:
+                    hi = mid
+            x = 0.5 * (lo + hi)
+            out.append(-0.5 * (math.cos(tau * x) + math.cos((tau - 2.0) * x)))
+        return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 6.0), st.integers(-4, 3), st.integers(1, 4), st.integers(0, 40))
+    def test_matches_sign_change_search(self, tau, a, width, extra):
+        d = tau - 1.0
+        assume(abs(d) > 0.05)
+        b = a + width
+        nodes = 64 * width * max(1, math.ceil(abs(d))) + 1 + extra
+        h = (b - a) * math.pi / (nodes - 1)
+        # the zeros of Im g(i beta) = -sin(d beta) cos(beta) in the segment
+        k0, k1 = sorted((a * d, b * d))
+        zeros = [k * math.pi / d for k in range(math.ceil(k0), math.floor(k1) + 1)]
+        zeros += [(j + 0.5) * math.pi for j in range(a, b)]
+        zeros = sorted(zeros)
+        # every zero a simple sign change, alone in its grid cell, off the nodes
+        assume(all(a * math.pi + h < z < b * math.pi - h for z in zeros))
+        assume(all(z2 - z1 > 2 * h for z1, z2 in zip(zeros, zeros[1:])))
+        assume(all(abs((z - a * math.pi) / h - round((z - a * math.pi) / h)) > 1e-6 for z in zeros))
+        found = self._sign_change_values(tau, a, b, nodes)
+        closed = critical_set_strip(tau, a, b).values
+        assert all(min(abs(v - c) for c in closed) < 1e-9 for v in found)
+        assert all(min(abs(v - c) for v in found) < 1e-9 for c in closed)
 
 
 class TestNearestBoundary:
