@@ -1,7 +1,7 @@
 """Deterministic command-line front end.
 
-Subcommands mirror the analysis modules: ``region`` (closed-form window plus
-oracle-bisected boundaries), ``roots`` (isolate in a rectangle), ``count``
+Subcommands mirror the analysis modules: ``region`` (closed-form window and
+exact crossing-count boundaries), ``roots`` (isolate in a rectangle), ``count``
 (disk or strip root counts), ``sweep-eps`` (delay-perturbation table),
 ``simulate`` (energy trace plus spectral cross-check), ``critical``
 (critical gain set).  Output is CSV (header row, 12 significant digits) or
@@ -149,7 +149,7 @@ def cmd_region(args) -> int:
     if args.treat_as_irrational:
         bisected = None
     else:
-        bisected = regions.region_boundaries_bisect(tau, kind, tol=args.tol, tau_rational=rat)
+        bisected = regions.region_boundaries_bisect(tau, kind, tau_rational=rat)
     scan_rows: Optional[List] = None
     if args.scan:
         lo, hi, step = args.scan
@@ -160,7 +160,7 @@ def cmd_region(args) -> int:
             if args.treat_as_irrational:
                 state = regions.classify(system(c, tau, rat), treat_as_irrational=True).state
             else:
-                # the bisection above resolved tau to m/n; a row needs only the state
+                # the endpoint read above resolved tau to m/n; a row needs only the state
                 state = regions.one_gain_state(kind, rat.num, rat.den, c)
             scan_rows.append((c, state.value))
     if args.format == "json":
@@ -311,7 +311,6 @@ def build_parser() -> _Parser:
     add_common(sp, fmt=True)
     sp.add_argument("--kind", choices=["cascade", "direct"], default="cascade")
     sp.add_argument("--scan", type=_SCAN, help="lo:hi:step grid of gains to classify (use --scan=-1:1:0.1 for negative lo)")
-    sp.add_argument("--tol", type=_POSITIVE, default=1e-7, help="bisection tolerance")
 
     sp = sub.add_parser("roots", help="characteristic roots in a rectangle")
     sp.set_defaults(func=cmd_roots)

@@ -13,8 +13,10 @@ the uniform samples of the round before and evaluates only the midpoints
 between them.  Since the tracked functions are analytic, the winding equals
 the number of enclosed zeros counted with multiplicity.  A path that touches
 a zero gets its own :class:`OnContourZero` and leaves the other paths of its
-batch alone; a rectangle the caller may move is dilated with jitter and
-retried under one policy, ``_winding_with_retries``.
+batch alone; a rectangle the caller may move is dilated by fixed steps
+and retried under one policy, ``_winding_with_retries``.  Every rectangle
+winding of an :class:`ExpSum` takes its initial density from one place,
+``_sample_hint``, which also refuses a side beyond the phase budget.
 
 Root isolation bisects level by level: the halves of every box of a level
 are wound in one batch.  One strip scan answers every question about the
@@ -63,6 +65,9 @@ NO_ROOTS = float("-inf")
 _ZERO_TOL = 1e-12
 # bisection depth cap of root isolation
 _MAX_DEPTH = 60
+# a rectangle side along which the fastest ExpSum term turns its phase by more
+# than this is refused: the samples a winding needs there run to hundreds of MB
+_MAX_PHASE = 2e5
 
 
 class OnContourZero(ArithmeticError):
@@ -321,7 +326,9 @@ def winding_rect(
     under sample doubling; an :class:`ExpSum` starts from at least
     :func:`expsum_sample_hint`, as coarser rounds can agree on an alias.
     Raises :class:`OnContourZero` when a sample of |func| drops below
-    ``_ZERO_TOL``; the caller should perturb the rectangle and retry.
+    ``_ZERO_TOL``; the caller should perturb the rectangle and retry.  An
+    :class:`ExpSum` whose phase turns by more than ``_MAX_PHASE`` along a
+    side raises ValueError.
     """
     if n0 < 2:
         raise ValueError(f"n0 = {n0}: each edge needs at least 2 samples")
@@ -337,11 +344,17 @@ def expsum_sample_hint(es: ExpSum, rect: ComplexRect) -> int:
 
 
 def _sample_hint(es: ExpSum, span):
-    """:func:`expsum_sample_hint` of rectangles whose longer sides are ``span``."""
+    """:func:`expsum_sample_hint` of rectangles whose longer sides are ``span``.
+    Raises ValueError where the phase turns by more than ``_MAX_PHASE``."""
     if not es.rates:
         return np.full(np.shape(span), 17)
-    rate = max(abs(a) for a in es.rates)
-    return np.minimum(np.maximum(rate * np.asarray(span), 17), 20001).astype(int)
+    phase = max(abs(a) for a in es.rates) * np.asarray(span)
+    if np.any(phase > _MAX_PHASE):
+        raise ValueError(
+            f"a rectangle side turns the phase by {np.max(phase):.3g} > {_MAX_PHASE:.0e}, "
+            "beyond the reach of one winding; shrink the rectangle or enlarge eps"
+        )
+    return np.minimum(np.maximum(phase, 17), 20001).astype(int)
 
 
 def count_in_disk(p) -> int:
@@ -441,16 +454,21 @@ def _newton(fd, z, iters, box=None, pad=0.0):
     return z
 
 
-def _winding_with_retries(func, rect, rng) -> tuple:
-    """Winding with the contour-contact policy: dilate with jitter, 8 tries,
-    each twice as far out, as |f| near a double zero stays below tolerance."""
+# dilations of a rectangle that met a contact, in units of 1e-7 (1 + its largest
+# |bound|): about doubling, as |f| stays below tolerance near a double zero
+_DILATIONS = (1.5, 3.4, 5.2, 13.6, 21.1, 50.8, 89.3, 211.0)
+
+
+def _winding_with_retries(func, rect) -> tuple:
+    """Winding with the contour-contact policy: on a contact, retry the
+    rectangle dilated by each of ``_DILATIONS`` in turn."""
     try:
         return winding_rect(func, rect), rect
     except OnContourZero:
         last = None
         d = 1e-7 * (1.0 + max(abs(rect.re_min), abs(rect.re_max), abs(rect.im_min), abs(rect.im_max)))
-        for i in range(8):
-            r2 = rect.dilated(d * 2**i * (1.0 + rng.random()))
+        for f in _DILATIONS:
+            r2 = rect.dilated(d * f)
             try:
                 return winding_rect(func, r2), r2
             except OnContourZero as exc:
@@ -480,8 +498,7 @@ def isolate_and_refine(
     """
     func = char_expsum(sys)
     dfunc = func.derivative()
-    rng = np.random.default_rng(0xC0417)
-    k, rect = _winding_with_retries(func, rect, rng)
+    k, rect = _winding_with_retries(func, rect)
     out = _isolate(func, dfunc, rect, k, max_depth)
     out.sort(key=lambda r: (r.lam.imag, r.lam.real))
     return out
@@ -638,7 +655,7 @@ def min_unstable_imag(sys: DelaySystem, im_cap: float, start: float = 0.0) -> Op
 def _clear_below(func, reb, height) -> bool:
     """True iff one winding finds no zero in [-1e-9, reb] x [-1e-9, height]."""
     rect = ComplexRect(-1e-9, reb, -1e-9, height)
-    return _winding_with_retries(func, rect, np.random.default_rng(0xCAFE))[0] == 0
+    return _winding_with_retries(func, rect)[0] == 0
 
 
 def _first_unstable_root(sys: DelaySystem, height: float, start: float = 0.0) -> tuple:
@@ -654,7 +671,8 @@ def _first_unstable_root(sys: DelaySystem, height: float, start: float = 0.0) ->
     16, ..., 256 and read in order; a box that met a contact is wound again
     under :func:`_winding_with_retries` before the next is read, and
     :func:`_isolate` refines the first box with a nonzero count.  A
-    ``start`` whose box turns the phase by more than 2e5 raises ValueError.
+    ``start`` beyond the phase budget ``_MAX_PHASE`` of the clearance
+    winding raises ValueError.
     """
     reb = re_bound(sys)
     func = char_expsum(sys)
@@ -663,14 +681,11 @@ def _first_unstable_root(sys: DelaySystem, height: float, start: float = 0.0) ->
         height = min(height, np.pi * (sys.tau_rational.den + 0.5))
     # a root can sit on the exclusion height itself (for eps < 0 it does)
     start = min(start, height) * (1.0 - 1e-6)
-    if start * max(map(abs, func.rates)) > 2e5:
-        raise ValueError(f"exclusion height {start:.3g} beyond the reach of one winding; enlarge eps")
     try:
         lo = start if start > 0 and _clear_below(func, reb, start) else 0.0
     except OnContourZero:
         lo = 0.0
     step, size = max(np.pi, reb), 8
-    rng = np.random.default_rng(0x5CA9)
     while height - lo >= 1e-9:
         los = [a for a in lo + step * np.arange(size) if height - a >= 1e-9]
         box = [(-1e-9, reb, a - 1e-9, min(a + step, height)) for a in los]
@@ -678,7 +693,7 @@ def _first_unstable_root(sys: DelaySystem, height: float, start: float = 0.0) ->
         for i, k in enumerate(kk):
             rect = ComplexRect(*box[i])
             if i in lost:
-                k, rect = _winding_with_retries(func, rect, rng)
+                k, rect = _winding_with_retries(func, rect)
             cands = [r.lam for r in _isolate(func, dfunc, rect, k, _MAX_DEPTH) if r.lam.real >= -1e-8]
             if cands:
                 return min(cands, key=lambda z: abs(z.imag)), height

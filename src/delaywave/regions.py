@@ -10,9 +10,9 @@ closed-form stability regions together with the master classifier.
 Each disk question has one oracle.  For the one-gain loops (equal gains,
 direct feedback) :func:`crossing_state` counts the zeros inside the unit
 disk exactly from the sign changes of Im z^{-n} P on the circle, which sit
-at rational multiples of pi: no roots and no degree cap.  It answers the
-stable-or-not question of :func:`region_boundaries_bisect`, the state of
-:func:`classify`, and with it `delaywave region --scan`; a MARGINAL witness
+at rational multiples of pi: no roots and no degree cap.  Its crossing gains
+are the endpoints of :func:`region_boundaries_bisect`, its count the state
+of :func:`classify` and `delaywave region --scan`, and a MARGINAL witness
 is its exact circle zero.  The companion solve of the disk polynomial
 (capped at degree ``_MAX_REDUCED_DEGREE``) runs only for an UNSTABLE
 witness and for the two-gain cascade.
@@ -584,62 +584,33 @@ def _companion_verdict(sys: DelaySystem, state: Optional[StabilityState] = None)
 def region_boundaries_bisect(
     tau: float,
     kind: CharKind,
-    tol: float = 1e-7,
     tau_rational=None,
 ) -> Optional[Tuple[float, float]]:
-    """Oracle-backed region endpoints: bisect the stable-or-not verdict over the gain.
+    """Oracle-backed region endpoints, read exactly off the crossing table.
 
-    Returns (lower, upper) to within ``tol``, or None when no gain of the
-    grid -3, -2.95, ..., 3 is stable.  Independent of the closed-form
-    window, which it is used to cross-check.  Each step asks only whether the disk polynomial
-    is stable, and the exact crossing count (:func:`crossing_state`)
-    answers: no polynomial, roots, witness or degree cap.  The bisection
-    stops at adjacent floats, where no midpoint lies strictly between.
+    The count of :func:`crossing_state` is constant on each open gap between
+    consecutive crossing gains, and the gap that holds 0 is split there, as
+    the sign of c flips.  Returns (lower, upper) of the gap on which the
+    count is 0, or None when there is none; it vanishes on one gap at most.
+    Independent of the closed-form window, which it is used to cross-check:
+    no polynomial, roots, witness or degree cap.  At tau = 1 equal gains put
+    a zero on the circle for |c| <= 1 and one inside beyond: no window.
     """
-    if not tol >= 0.0:
-        raise ValueError("tol must be a number >= 0")
+    if kind is CharKind.CASCADE_FULL:
+        raise ValueError("region endpoints exist for the one-gain variants only")
     system = equal_gain_system if kind is CharKind.CASCADE_EQUAL_GAINS else direct_feedback_system
     # tau must reduce to m/n; without one this raises as classify does
     rat = _rational_system(system(0.0, tau, tau_rational)).tau_rational
-
-    def stable(c: float) -> bool:
-        return one_gain_state(kind, rat.num, rat.den, c) is StabilityState.STABLE
-
-    closed = stability_region(tau, kind)
-    c0 = None
-    if not closed.empty:
-        c0 = 0.5 * (closed.lower + closed.upper)
-        if not stable(c0):
-            c0 = None
-    if c0 is None:
-        for c in np.arange(-3.0, 3.025, 0.05):
-            if stable(float(c)):
-                c0 = float(c)
-                break
-    if c0 is None:
+    m, n = rat.num, rat.den
+    if kind is CharKind.CASCADE_EQUAL_GAINS and m == n:
         return None
-
-    def expand(direction: float) -> float:
-        step = 0.25
-        c = c0 + direction * step
-        for _ in range(64):
-            if not stable(c):
-                return c
-            c += direction * step
-            step *= 1.5
-        raise ArithmeticError("no unstable gain found while expanding")
-
-    def bisect(inside: float, outside: float) -> float:
-        mid = 0.5 * (inside + outside)
-        # mid lies in the closed bracket; at adjacent floats it equals an end
-        while abs(outside - inside) > tol and inside != mid != outside:
-            if stable(mid):
-                inside = mid
-            else:
-                outside = mid
-            mid = 0.5 * (inside + outside)
-        return mid
-
-    lower = bisect(c0, expand(-1.0))
-    upper = bisect(c0, expand(+1.0))
-    return lower, upper
+    t = _crossing_table(kind, m, n)
+    ends = np.concatenate([[-np.inf], np.sort(np.append(t.gains, 0.0)), [np.inf]])
+    lo, hi = ends[:-1], ends[1:]
+    i = np.searchsorted(t.gains, lo, side="right")
+    s = np.where(lo < 0.0, -1, 1)
+    count = n + s * (t.fixed + np.asarray(t.below)[i] + np.asarray(t.above)[i])
+    stable = np.flatnonzero((count == 0) & (lo < hi))
+    if not stable.size:
+        return None
+    return float(lo[stable[0]]), float(hi[stable[0]])

@@ -124,14 +124,14 @@ def check_low_freq_clear(case: PerturbationCase) -> bool:
 
     At eps = 0 the base system is exponentially stable, so every height is
     clear and the check reduces to the classifier.  By conjugate symmetry
-    only the upper strip is scanned.
+    only the upper strip is wound, in one rectangle; a height beyond the
+    phase budget of one winding (about |eps| < 1e-5 at base 2) raises
+    ValueError.
     """
     if case.epsilon == 0.0:
         return classify(perturbed_system(case)).state is StabilityState.STABLE
     bounds = bounds_for(case)
     height = bounds.C1 / abs(case.epsilon)
-    if height >= 1e4:
-        raise ValueError("clearance height above the desk-scale cap 1e4; enlarge eps")
     sys = perturbed_system(case)
     return _clear_below(char_expsum(sys), re_bound(sys), height * (1.0 - 1e-6))
 

@@ -74,20 +74,20 @@ class _Gate:
 
 def test_01_region_endpoints_cascade():
     with _Gate(1, "region endpoints (cascade)", 5.0) as g:
-        lo, hi = region_boundaries_bisect(2.0, CharKind.CASCADE_EQUAL_GAINS, tol=1e-7)
+        lo, hi = region_boundaries_bisect(2.0, CharKind.CASCADE_EQUAL_GAINS)
         g.check(abs(lo - (-math.sin(PI / 2))) < 1e-6, f"tau=2 lower {lo}")
         g.check(abs(hi - 0.0) < 1e-6, f"tau=2 upper {hi}")
-        lo, hi = region_boundaries_bisect(4.0, CharKind.CASCADE_EQUAL_GAINS, tol=1e-7)
+        lo, hi = region_boundaries_bisect(4.0, CharKind.CASCADE_EQUAL_GAINS)
         g.check(abs(lo - 0.0) < 1e-6, f"tau=4 lower {lo}")
         g.check(abs(hi - math.sin(PI / 6)) < 1e-6, f"tau=4 upper {hi}")
 
 
 def test_02_region_endpoints_direct():
     with _Gate(2, "region endpoints (direct feedback)", 5.0) as g:
-        lo, hi = region_boundaries_bisect(2.0, CharKind.DIRECT_DELAY_FEEDBACK, tol=1e-7)
+        lo, hi = region_boundaries_bisect(2.0, CharKind.DIRECT_DELAY_FEEDBACK)
         g.check(abs(lo - (-math.tan(PI / 4))) < 1e-6, f"tau=2 lower {lo}")
         g.check(abs(hi - 0.0) < 1e-6, f"tau=2 upper {hi}")
-        lo, hi = region_boundaries_bisect(4.0, CharKind.DIRECT_DELAY_FEEDBACK, tol=1e-7)
+        lo, hi = region_boundaries_bisect(4.0, CharKind.DIRECT_DELAY_FEEDBACK)
         g.check(abs(lo - 0.0) < 1e-6, f"tau=4 lower {lo}")
         g.check(abs(hi - math.tan(PI / 8)) < 1e-6, f"tau=4 upper {hi}")
 

@@ -123,6 +123,16 @@ class TestRoots:
         assert float(row["im"]) == pytest.approx(math.pi, abs=1e-9)
         assert int(row["multiplicity"]) == 2
 
+    def test_tall_rectangle_refused_fast(self, capsys):
+        # a side of 1e7 turns the phase beyond the budget of one winding
+        t0 = time.perf_counter()
+        code, _, err = run(
+            capsys, "roots", "--tau", "2/1", "--c1", "-0.25", "--c2", "-0.25",
+            "--rect", "-1", "0.5", "0", "1e7",
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and "ValueError" in err
+
 
 class TestNegativeExponent:
     """A negative number in exponent notation is a value, not an option."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -465,23 +466,61 @@ class TestCountingMonotonicity:
 
 class TestBisectedBoundaries:
     def test_cascade_tau_two(self):
-        lo, hi = region_boundaries_bisect(2.0, CharKind.CASCADE_EQUAL_GAINS, tol=1e-7)
+        lo, hi = region_boundaries_bisect(2.0, CharKind.CASCADE_EQUAL_GAINS)
         assert lo == pytest.approx(-1.0, abs=1e-6)
         assert hi == pytest.approx(0.0, abs=1e-6)
 
     def test_empty_region_returns_none(self):
         assert region_boundaries_bisect(3.0, CharKind.CASCADE_EQUAL_GAINS) is None
 
-    def test_zero_tol_stops_at_adjacent_floats(self):
-        t0 = time.perf_counter()
-        lo, hi = region_boundaries_bisect(2.0, CharKind.CASCADE_EQUAL_GAINS, tol=0.0)
-        assert time.perf_counter() - t0 < 1.0
-        assert abs(lo + 1.0) < 1e-7 and abs(hi) < 1e-7
-
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
-    def test_rejects_bad_tol(self, tol):
+    def test_full_cascade_refused(self):
         with pytest.raises(ValueError):
-            region_boundaries_bisect(2.0, CharKind.CASCADE_EQUAL_GAINS, tol=tol)
+            region_boundaries_bisect(2.0, CharKind.CASCADE_FULL)
+
+    def test_equal_gains_at_one_have_no_window(self):
+        assert region_boundaries_bisect(1.0, CharKind.CASCADE_EQUAL_GAINS, tau_rational=Rational(1, 1)) is None
+
+
+def _bisected_edge(kind, m, n, inside, outside):
+    """The edge of the stable gains between ``inside`` (stable) and
+    ``outside`` (not), by float bisection of :func:`one_gain_state`."""
+    while abs(outside - inside) > 1e-9:
+        mid = 0.5 * (inside + outside)
+        if regions.one_gain_state(kind, m, n, mid) is StabilityState.STABLE:
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+class TestExactEndpoints:
+    """The crossing-table read against the closed form and a bisection of the state."""
+
+    def test_every_small_delay(self):
+        kinds = (CharKind.CASCADE_EQUAL_GAINS, CharKind.DIRECT_DELAY_FEEDBACK)
+        for kind, m, n in itertools.product(kinds, range(1, 41), range(1, 13)):
+            if math.gcd(m, n) != 1:
+                continue
+            got = region_boundaries_bisect(m / n, kind, tau_rational=Rational(m, n))
+            w = stability_region(m / n, kind)
+            if w.empty:
+                assert got is None, (kind, m, n, got)
+            else:
+                assert abs(got[0] - w.lower) <= 1e-12 and abs(got[1] - w.upper) <= 1e-12, (kind, m, n, got)
+            # at most one stable gap: no other gap between table gains has a stable midpoint;
+            # tau = 1 with equal gains has no table, and no stable gain
+            lo, hi = got or (0.0, 0.0)
+            one = m == n and kind is CharKind.CASCADE_EQUAL_GAINS
+            table = () if one else regions._crossing_table(kind, m, n).gains
+            ends = np.sort(np.concatenate([table, [0.0, -1e3, 1e3]]))
+            for a, b in zip(ends[:-1], ends[1:]):
+                c = 0.5 * (a + b)
+                if b > a and not lo <= c <= hi:
+                    assert regions.one_gain_state(kind, m, n, c) is not StabilityState.STABLE, (kind, m, n, c)
+            if got is not None:
+                mid = 0.5 * (lo + hi)
+                assert abs(_bisected_edge(kind, m, n, mid, lo - 1.0) - lo) < 1e-7
+                assert abs(_bisected_edge(kind, m, n, mid, hi + 1.0) - hi) < 1e-7
 
 
 class TestBisectionAtHighDegree:
@@ -490,14 +529,14 @@ class TestBisectionAtHighDegree:
     def test_tau_400_both_kinds(self):
         t0 = time.perf_counter()
         for kind in (CharKind.CASCADE_EQUAL_GAINS, CharKind.DIRECT_DELAY_FEEDBACK):
-            lo, hi = region_boundaries_bisect(400.0, kind, tol=1e-7)
+            lo, hi = region_boundaries_bisect(400.0, kind)
             w = stability_region(400.0, kind)
             assert abs(lo - w.lower) < 1e-7 and abs(hi - w.upper) < 1e-7
         assert time.perf_counter() - t0 < 3.0
 
     def test_tau_2000(self):
         t0 = time.perf_counter()
-        lo, hi = region_boundaries_bisect(2000.0, CharKind.CASCADE_EQUAL_GAINS, tol=1e-7)
+        lo, hi = region_boundaries_bisect(2000.0, CharKind.CASCADE_EQUAL_GAINS)
         w = stability_region(2000.0, CharKind.CASCADE_EQUAL_GAINS)
         assert abs(lo - w.lower) < 1e-7 and abs(hi - w.upper) < 1e-7
         assert time.perf_counter() - t0 < 5.0

@@ -240,6 +240,16 @@ class TestSweep:
         assert rows[1].error is not None
         assert rows[0].error is None and rows[2].error is None
 
+    def test_clearance_above_1e4(self):
+        # C1/|eps| ~ 1.05e4 at c = -0.5: one winding, well within its phase budget
+        t0 = time.perf_counter()
+        rows = sweep(PerturbationCase(2.0, 1e-4, -0.5), [1e-4, -1e-4])
+        assert time.perf_counter() - t0 < 2.0
+        for row in rows:
+            b = bounds_for(PerturbationCase(2.0, row.eps, -0.5))
+            assert row.error is None and row.low_freq_clear is True
+            assert b.C1 / abs(row.eps) - 1e-6 <= row.lambda_eps <= (b.S_eps + 1) * PI + 1e-6
+
     def test_sandwich_invariant(self):
         template = PerturbationCase(0.0, 0.1, 1.0)
         for row in sweep(template, [0.1, 0.05, 0.02]):
