@@ -556,35 +556,27 @@ def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
     reported once, then winds both halves of every box that must split in
     one batched pass.  A split whose halves touch a root, or whose counts do
     not add up to the box's, is retried at the next fraction of
-    ``_SPLIT_FRACS`` in the next batch.  Every box carries its path from
-    ``rect`` (0 for the lower half, 1 for the upper), and of several
-    failures the one that depth-first recursion would meet first is raised:
-    once a box has failed, boxes that come after it in that order are
-    dropped.
+    ``_SPLIT_FRACS`` in the next batch.  The first failure met, in level
+    order with the lower half first, is raised.
     """
     out: List[RootRecord] = []
-    boxes = [(rect, k, 0, ())] if k else []  # (box, winding, depth, path)
-    splits = []  # (box, winding, depth, path, index into _SPLIT_FRACS)
-    failed = None  # (path, exception) of the first failure, depth first
+    boxes = [(rect, k, 0)] if k else []  # (box, winding, depth)
+    splits = []  # (box, winding, depth, index into _SPLIT_FRACS)
     while boxes or splits:
-        for rect, k, depth, key in boxes:
-            if failed and key > failed[0]:
-                continue
+        for rect, k, depth in boxes:
             rec = _root_in(func, dfunc, rect, k)
             if rec is not None:
                 if rect.contains(rec.lam, 1e-9):
                     out.append(rec)
             elif k > 2 and rect.diag < 1e-7:
-                failed = key, MultiplicityCapExceeded(
+                raise MultiplicityCapExceeded(
                     f"winding {k} in a box of diameter {rect.diag:.1e}; "
                     "roots of this family have multiplicity at most two"
                 )
             elif depth >= max_depth:
-                failed = key, MaxDepthExceeded(f"bisection depth {depth} reached at {rect}")
+                raise MaxDepthExceeded(f"bisection depth {depth} reached at {rect}")
             else:
-                splits.append((rect, k, depth, key, 0))
-        if failed:
-            splits = [s for s in splits if s[3] < failed[0]]
+                splits.append((rect, k, depth, 0))
         boxes = []
         if not splits:
             continue
@@ -592,7 +584,7 @@ def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
         span = np.maximum(halves[:, 1] - halves[:, 0], halves[:, 3] - halves[:, 2])
         kk, lost = _rect_windings(func, halves, _sample_hint(func, span))
         retry = []
-        for i, (rect, k, depth, key, frac) in enumerate(splits):
+        for i, (rect, k, depth, frac) in enumerate(splits):
             if 2 * i not in lost and 2 * i + 1 not in lost and kk[2 * i] + kk[2 * i + 1] == k:
                 for h in (0, 1):
                     if kk[2 * i + h]:
@@ -600,14 +592,12 @@ def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
                         # and the lower bound of the upper half
                         b = [rect.re_min, rect.re_max, rect.im_min, rect.im_max]
                         b[cut[i] + 1 - h] = mid[i]
-                        boxes.append((ComplexRect(*b), kk[2 * i + h], depth + 1, key + (h,)))
+                        boxes.append((ComplexRect(*b), kk[2 * i + h], depth + 1))
             elif frac + 1 < len(_SPLIT_FRACS):
-                retry.append((rect, k, depth, key, frac + 1))
-            elif not failed or key < failed[0]:
-                failed = key, OnContourZero(f"could not split {rect} without touching a root")
+                retry.append((rect, k, depth, frac + 1))
+            else:
+                raise OnContourZero(f"could not split {rect} without touching a root")
         splits = retry
-    if failed:
-        raise failed[1]
     return out
 
 
@@ -617,7 +607,7 @@ def _halves(splits):
     im_max), lower half first, and per split the column of the lower bound
     of the cut side (0 or 2) and the cut."""
     box = np.array([(r.re_min, r.re_max, r.im_min, r.im_max) for r, *_ in splits])
-    frac = np.array([_SPLIT_FRACS[s[4]] for s in splits])
+    frac = np.array([_SPLIT_FRACS[s[3]] for s in splits])
     rows = np.arange(len(splits))
     cut = np.where(box[:, 1] - box[:, 0] >= box[:, 3] - box[:, 2], 0, 2)
     mid = box[rows, cut] + frac * (box[rows, cut + 1] - box[rows, cut])

@@ -10,12 +10,13 @@ closed-form stability regions together with the master classifier.
 Each disk question has one oracle.  For the one-gain loops (equal gains,
 direct feedback) :func:`crossing_state` counts the zeros inside the unit
 disk exactly from the sign changes of Im z^{-n} P on the circle, which sit
-at rational multiples of pi: no roots and no degree cap.  Its crossing gains
-are the endpoints of :func:`region_boundaries_bisect`, its count the state
-of :func:`classify` and `delaywave region --scan`, and a MARGINAL witness
-is its exact circle zero.  The companion solve of the disk polynomial
-(capped at degree ``_MAX_REDUCED_DEGREE``) runs only for an UNSTABLE
-witness and for the two-gain cascade.
+at rational multiples of pi, off a table of crossing gains, their circle
+angles and one winding per gap: no roots and no degree cap.  The gains are
+the endpoints of :func:`region_boundaries_bisect`, the count the state of
+:func:`classify` and `delaywave region --scan`, and the exact circle zero a
+MARGINAL witness and the start of :func:`unit_circle_continuation`.  The
+companion solve (capped at degree ``_MAX_REDUCED_DEGREE``) runs only in
+:func:`_companion_verdict`: an UNSTABLE witness and the two-gain cascade.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from .chareq import (
     CharKind,
     DelaySystem,
-    Rational,
     char_expsum,
     direct_feedback_system,
     equal_gain_system,
@@ -40,7 +40,7 @@ from .chareq import (
     rational_from_float,
 )
 from .contour import _first_unstable_root, _newton
-from .polyform import _ON_CIRCLE_TOL, PolyReal, StabilityState, reduce_to_polynomial, stability_from_poly
+from .polyform import _ON_CIRCLE_TOL, StabilityState, reduce_to_polynomial, stability_from_poly
 
 __all__ = [
     "CriticalSet",
@@ -172,11 +172,6 @@ def critical_set_E(m: int, n: int, validate: bool = False) -> CriticalSet:
     return CriticalSet(_dedup_sorted([0.0, *crossings.tolist()]), "E_mn")
 
 
-def _disk_poly(m: int, n: int, c: float) -> PolyReal:
-    """Equal-gain disk polynomial 1 + 2c z^m + z^(2n) for tau = m/n."""
-    return reduce_to_polynomial(equal_gain_system(c, m / n, Rational(m, n)))
-
-
 def critical_set_strip(tau: float, a: int, b: int) -> CriticalSet:
     """Real values taken by g on the imaginary-axis segment [a*pi, b*pi].
 
@@ -275,19 +270,24 @@ def branch_sign_strip(c_star: float, tau: float) -> int:
 
 
 def unit_circle_continuation(m: int, n: int, c_star: float, dc: float = 1e-5) -> Tuple[float, float]:
-    """Track a unit-circle root of the disk polynomial to c_star -+ dc.
+    """Track a unit-circle root of the equal-gain disk polynomial
+    1 + 2c z^m + z^(2n) to c_star -+ dc.
 
+    Newton starts from the exact circle zero e^{i |theta|} that
+    :func:`crossing_state` finds at ``c_star`` (the one of least |theta|, in
+    the upper half-plane); a gain with no circle zero raises ValueError.
     Returns (|z(c_star - dc)|, |z(c_star + dc)|); the ordering of the two
-    modulis is the continuation check for :func:`branch_sign_r`.
+    moduli is the continuation check for :func:`branch_sign_r`.
     """
-
-    upper = [z for z in np.roots(_disk_poly(m, n, c_star).coeffs[::-1]) if z.imag >= -1e-12]
-    z0 = min(upper, key=lambda z: abs(abs(z) - 1.0))
+    theta = _crossings(CharKind.CASCADE_EQUAL_GAINS, m, n, c_star)[1]
+    if theta is None:
+        raise ValueError(f"{c_star} puts no zero of the disk polynomial on the unit circle")
 
     def track(c):
-        p = _disk_poly(m, n, c)
-        dp = PolyReal.from_coeffs(p.derivative_coeffs())
-        return abs(_newton(lambda z: (p(z), dp(z)), z0, 50))
+        def fd(z):
+            return 1 + 2 * c * z**m + z ** (2 * n), 2 * c * m * z ** (m - 1) + 2 * n * z ** (2 * n - 1)
+
+        return abs(_newton(fd, np.exp(1j * abs(theta)), 50))
 
     return track(c_star - dc), track(c_star + dc)
 
@@ -386,18 +386,15 @@ class _Crossings:
     On the circle z = e^{i theta} write z^{-n} P = R + i c I with R, I real
     and c the gain.  At each sign change theta_k of I, R has the sign of
     side_k (c - g_k), and where R < 0 the curve crosses the negative real
-    axis, adding sgn(c) turn_k to the winding.  With the g_k sorted, a crossing with
-    side -1 counts below c and one with side +1 above it, so prefix sums
-    over the sorted order give the count on every interval between gains.
+    axis, adding sgn(c) turn_k to the winding.  With the g_k sorted, the
+    crossings with side -1 before a gap and those with side +1 after it
+    are the ones that count there, so the disk holds n + sgn(c) winding[i]
+    zeros on the open gap just below gains[i] (winding[-1]: above them all).
     """
 
     gains: memoryview  # g_k, ascending
     theta: memoryview  # theta_k in (-pi, pi], in the same order
-    below: memoryview  # below[i]: sum of turn_k over k < i with side_k = -1
-    above: memoryview  # above[i]: sum of turn_k over k >= i with side_k = +1
-    down: memoryview  # down[i]: number of k < i with turn_k = -1
-    up: memoryview  # up[i]: number of k < i with turn_k = +1
-    fixed: int  # winding / sgn(c) from the zeros of I at which R never vanishes
+    winding: memoryview  # n + sgn(c) winding[i] zeros inside below gains[i]; one entry more
 
 
 def _crossing_angles(num: np.ndarray, den: int) -> np.ndarray:
@@ -412,10 +409,6 @@ def _frozen(values: np.ndarray) -> memoryview:
     values = np.ascontiguousarray(values)
     values.flags.writeable = False
     return memoryview(values)
-
-
-def _prefix(values: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
 
 
 @functools.lru_cache(maxsize=256)
@@ -439,15 +432,11 @@ def _crossing_table(kind: CharKind, m: int, n: int) -> _Crossings:
         gains, turn, theta = 0.0 - alt * cos_a / sin_a, -side, _crossing_angles(a // n, 2 * m)
     order = np.argsort(gains, kind="stable")
     gains, side, turn, theta = gains[order], side[order], turn[order], theta[order]
-    return _Crossings(
-        _frozen(gains),
-        _frozen(theta),
-        _frozen(_prefix(np.where(side < 0, turn, 0))),
-        _frozen(_prefix(np.where(side > 0, turn, 0)[::-1])[::-1]),
-        _frozen(_prefix(turn < 0)),
-        _frozen(_prefix(turn > 0)),
-        fixed,
-    )
+    # the turns with side -1 below each gap plus those with side +1 above it
+    below = np.cumsum(np.where(side < 0, turn, 0), dtype=np.int64)
+    above = np.cumsum(np.where(side > 0, turn, 0)[::-1], dtype=np.int64)[::-1]
+    winding = fixed + np.concatenate([[0], below]) + np.concatenate([above, [0]])
+    return _Crossings(_frozen(gains), _frozen(theta), _frozen(winding))
 
 
 def _crossings(kind: CharKind, m: int, n: int, c: float) -> Tuple[int, Optional[float]]:
@@ -464,13 +453,11 @@ def _crossings(kind: CharKind, m: int, n: int, c: float) -> Tuple[int, Optional[
     s = 1 if c > 0 else -1
     band = _CROSSING_ETA * max(1.0, abs(c))
     lo, hi = bisect.bisect_left(t.gains, c - band), bisect.bisect_right(t.gains, c + band)
-    # gains lo..hi-1 put a zero on the circle; it leaves the disk on one side of
-    # its gain, and counts as there: -1 where s turn_k = -1, else 0
-    leaving = t.down if s > 0 else t.up
-    inside = n + s * (t.fixed + t.below[lo] + t.above[hi]) - (leaving[hi] - leaving[lo])
-    if lo == hi:
-        return inside, None
-    return inside, min(t.theta[lo:hi], key=abs)
+    # gains lo..hi-1 each put one zero on the circle, inside the disk on exactly
+    # one side of its gain, so the counts on the gaps either side add up to
+    # twice the count at c plus hi - lo (with no such gain, both are one gap)
+    inside = n + (s * (t.winding[lo] + t.winding[hi]) - (hi - lo)) // 2
+    return inside, min(t.theta[lo:hi], key=abs) if hi > lo else None
 
 
 def crossing_state(kind: CharKind, m: int, n: int, c: float) -> Tuple[int, bool]:
@@ -483,12 +470,15 @@ def crossing_state(kind: CharKind, m: int, n: int, c: float) -> Tuple[int, bool]
     of pi, so R(theta_k) changes sign at gains known in closed form (for
     equal gains the values of :func:`critical_set_E`); a zero is on the
     circle when ``c`` lies within ``_CROSSING_ETA`` * max(1, |c|) of one.
-    The gains and prefix sums of the count are built once per (kind, m, n)
-    in O((m + n) log(m + n)); a query is two binary searches, with no roots
-    and no degree cap.
+    The gains and the winding on every gap between them are built once per
+    (kind, m, n) in O((m + n) log(m + n)); a query is two binary searches,
+    with no roots and no degree cap.  A non-finite gain, or (m, n) that are
+    not coprime positive integers, raise ValueError.
     """
     if kind is CharKind.CASCADE_FULL:
         raise ValueError("the crossing count covers the one-gain variants only")
+    if not math.isfinite(c) or m <= 0 or n <= 0 or math.gcd(m, n) != 1:
+        raise ValueError(f"need a finite gain and coprime positive m, n; got c={c}, m={m}, n={n}")
     inside, theta = _crossings(kind, m, n, c)
     return inside, theta is not None
 
@@ -609,7 +599,7 @@ def region_boundaries_bisect(
     lo, hi = ends[:-1], ends[1:]
     i = np.searchsorted(t.gains, lo, side="right")
     s = np.where(lo < 0.0, -1, 1)
-    count = n + s * (t.fixed + np.asarray(t.below)[i] + np.asarray(t.above)[i])
+    count = n + s * np.asarray(t.winding)[i]
     stable = np.flatnonzero((count == 0) & (lo < hi))
     if not stable.size:
         return None

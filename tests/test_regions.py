@@ -218,6 +218,24 @@ class TestBranchSigns:
             assert branch_sign_r(c_star, m, n) == (1 if drift > 0 else -1), (m, n, c_star)
             checked += 1
 
+    def test_continuation_needs_no_companion_roots(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np, "roots", refuse)
+        for m, n in ((4, 1), (3, 2), (7, 3), (8, 3)):
+            for c_star in critical_set_E(m, n).values:
+                if abs(c_star) > 1e-9 and abs(abs(c_star) - 1.0) > 1e-9:
+                    lo, hi = unit_circle_continuation(m, n, c_star, 1e-5)
+                    assert branch_sign_r(c_star, m, n) == (1 if hi > lo else -1), (m, n, c_star)
+                    assert (lo - 1.0) * (hi - 1.0) < 0, (m, n, c_star)
+        lo, hi = unit_circle_continuation(3, 1, 0.0, 1e-4)
+        assert lo < 1.0 + 1e-12 and hi < 1.0 + 1e-12
+
+    def test_continuation_refuses_a_gain_with_no_circle_zero(self):
+        with pytest.raises(ValueError):
+            unit_circle_continuation(4, 1, 0.37)
+
     def test_at_zero_even(self):
         assert branch_sign_at_zero(0, 4, 1) == 1
         assert branch_sign_at_zero(1, 4, 1) == 1
@@ -590,6 +608,39 @@ class TestCrossingState:
             assert on, (kind, m, n, c)
             assert inside == ps.report.count_inside, (kind, m, n, c)
             assert regions.one_gain_state(kind, m, n, c) is ps.state, (kind, m, n, c)
+
+    def test_every_crossing_gain_of_small_delays(self):
+        # each crossing gain puts one circle zero per table entry; for even m,
+        # z and -z share a gain, so a band of two entries meets there
+        checked = 0
+        for kind, m, n in itertools.product(self.KINDS, range(1, 25), range(1, 9)):
+            if m == n or math.gcd(m, n) != 1:
+                continue
+            for c in self.crossing_gains(kind, m, n):
+                rep = stability_from_poly(self.poly(kind, m, n, c)).report
+                assert regions.crossing_state(kind, m, n, c) == (rep.count_inside, True), (kind, m, n, c)
+                checked += 1
+        assert checked == 2419
+
+    @pytest.mark.parametrize(
+        "kind, m, n, c",
+        [
+            (CharKind.DIRECT_DELAY_FEEDBACK, 2, 1, math.inf),
+            (CharKind.CASCADE_EQUAL_GAINS, 2, 1, -math.inf),
+            (CharKind.DIRECT_DELAY_FEEDBACK, 2, 1, math.nan),
+            (CharKind.CASCADE_EQUAL_GAINS, 2, 1, math.nan),
+            (CharKind.CASCADE_EQUAL_GAINS, 2, 0, 0.3),
+            (CharKind.DIRECT_DELAY_FEEDBACK, 0, 1, 0.3),
+            (CharKind.CASCADE_EQUAL_GAINS, -3, 2, 0.3),
+            (CharKind.CASCADE_EQUAL_GAINS, 4, 2, 0.3),
+            (CharKind.DIRECT_DELAY_FEEDBACK, 4, 2, 0.3),
+        ],
+    )
+    def test_refuses_bad_gain_or_delay(self, kind, m, n, c):
+        with pytest.raises(ValueError):
+            regions.crossing_state(kind, m, n, c)
+        with pytest.raises(ValueError):
+            regions.one_gain_state(kind, m, n, c)
 
     @pytest.mark.parametrize("m, n", [(4, 1), (3, 2), (7, 3), (41, 20), (2000, 1), (1, 7)])
     def test_critical_set_is_the_crossing_gains_bit_for_bit(self, m, n):
