@@ -133,7 +133,10 @@ class DelayGains:
 
 
 class CharKind(Enum):
-    """Which characteristic function the system carries.
+    """Which normalisation of the characteristic function the system carries.
+
+    The tag picks only the form :func:`char_expsum` returns; the gains pick
+    the analysis (c1 = c2 or c1 = 0 is a one-gain loop whatever the tag).
 
     CASCADE_FULL         two independent gains (c1, c2)
     CASCADE_EQUAL_GAINS  c1 = c2 = c, cleared to exp(2*lam) + 2c*exp((2-tau)*lam) + 1
@@ -318,11 +321,11 @@ def eval_char(sys: DelaySystem, lam):
 def eval_g(sys: DelaySystem, lam):
     """Gain map g(lam) = -(exp(tau*lam) + exp((tau-2)*lam)) / 2.
 
-    For the equal-gain variant, eval_char(sys, lam) = 0 iff g(lam) = c; the
-    two differ by the nonvanishing factor -exp((tau-2)*lam)/2.
+    For equal gains c1 = c2 = c, whatever the tag, eval_char(sys, lam) = 0
+    iff g(lam) = c; the equal-gain form is g - c times -2 exp((2-tau)*lam).
     """
-    if sys.kind is not CharKind.CASCADE_EQUAL_GAINS:
-        raise ValueError("g is defined for the equal-gain variant only")
+    if sys.c1 != sys.c2:
+        raise ValueError("g is defined for equal gains c1 == c2 only")
     return g_expsum(sys.tau)(lam)
 
 

@@ -144,6 +144,8 @@ def _jsonable(x):
 
 def cmd_region(args) -> int:
     tau, rat = _parse_tau(args)
+    if rat is None and not args.treat_as_irrational:
+        raise UsageError(f"--tau-real {tau!r} has no small fraction; add --treat-as-irrational")
     kind = _kind(args.kind)
     closed = regions.stability_region(tau, kind)
     if args.treat_as_irrational:
@@ -234,8 +236,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_sweep_eps(args) -> int:
-    l = int(round(args.base / 2)) if args.base else None
-    template = robustness.PerturbationCase(args.base, args.eps[0], args.c, l)
+    template = robustness.PerturbationCase(args.base, args.eps[0], args.c)
     rows = robustness.sweep(template, args.eps)
     _write_csv(
         args.output,

@@ -40,7 +40,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .chareq import CharKind, DelaySystem, ExpSum, char_expsum, g_expsum
+from .chareq import DelaySystem, ExpSum, char_expsum, g_expsum
 from .polyform import disk_roots, reduce_to_polynomial
 
 __all__ = [
@@ -381,13 +381,14 @@ def count_in_disk(p) -> int:
 def count_in_strip(sys: DelaySystem, a: int, b: int) -> int:
     """Number of solutions of g(lam) = c in (0, re_bound) x (a*pi, b*pi).
 
-    ``a`` and ``b`` must be nonzero integers with a < b; on the horizontal
-    edges Im(lam) = a*pi, b*pi the map g stays off the real axis, so a zero
-    of g - c there signals misuse (a = 0 or b = 0) or a genuine root on the
-    imaginary axis, reported as :class:`OnContourZero`.
+    The gains pick the analysis: any system with c1 = c2 = c is accepted,
+    whatever its tag.  ``a`` and ``b`` must be nonzero integers with a < b;
+    on the horizontal edges Im(lam) = a*pi, b*pi the map g stays off the
+    real axis, so a zero of g - c there signals misuse (a = 0 or b = 0) or a
+    genuine root on the imaginary axis, reported as :class:`OnContourZero`.
     """
-    if sys.kind is not CharKind.CASCADE_EQUAL_GAINS:
-        raise ValueError("strip counting applies to the equal-gain variant")
+    if sys.c1 != sys.c2:
+        raise ValueError("strip counting applies to equal gains c1 == c2")
     if not (isinstance(a, int) and isinstance(b, int)) or a == 0 or b == 0 or a >= b:
         raise ValueError("need nonzero integers a < b")
     func = g_expsum(sys.tau, sys.c2)
@@ -618,21 +619,24 @@ def _halves(splits):
 
 
 def spectral_abscissa(sys: DelaySystem) -> float:
-    """sup Re(lam) over the characteristic roots (rational delay only).
+    """sup Re(lam) over the characteristic roots (rational delay only, no
+    degree cap): the real part of :func:`_rightmost_root`, as the roots fill
+    vertical lines Re(lam) = -n log|z*| over the zeros z* of the disk
+    polynomial; ``NO_ROOTS`` (-inf) when that polynomial is a constant."""
+    lam = _rightmost_root(sys)
+    return NO_ROOTS if lam is None else float(lam.real)
 
-    With tau = m/n the roots fill vertical lines Re(lam) = -n log|z*| over
-    the nonzero roots z* of the disk polynomial; the supremum is attained.
-    Returns ``NO_ROOTS`` (-inf) when the reduced polynomial is a nonzero
-    constant and the spectrum is empty.
-    """
-    if sys.tau_rational is None:
-        raise ValueError("spectral_abscissa needs an exact rational delay")
-    p = reduce_to_polynomial(sys)
-    if p.degree == 0:
-        return NO_ROOTS
-    n = sys.tau_rational.den
-    mods = np.abs(np.asarray(disk_roots(p).roots))
-    return float(-n * np.log(mods.min()))
+
+def _rightmost_root(sys: DelaySystem) -> Optional[complex]:
+    """The companion root z of least modulus of the disk polynomial of
+    tau = m/n, as lam = -n log z polished by 4 Newton steps, or None for a
+    constant polynomial: the one reader of companion roots besides
+    :func:`polyform.stability_from_poly`."""
+    roots = np.asarray(disk_roots(reduce_to_polynomial(sys)).roots)
+    if not roots.size:
+        return None
+    z = roots[np.argmin(np.abs(roots))]
+    return _newton(char_expsum(sys).with_slope, -sys.tau_rational.den * np.log(complex(z)), 4)
 
 
 def min_unstable_imag(sys: DelaySystem, im_cap: float, start: float = 0.0) -> Optional[float]:

@@ -7,16 +7,18 @@ jump.  This module enumerates those critical sets, gives the sign of the
 root-modulus (or real-part) derivative across them, and assembles the
 closed-form stability regions together with the master classifier.
 
-Each disk question has one oracle.  For the one-gain loops (equal gains,
-direct feedback) :func:`crossing_state` counts the zeros inside the unit
-disk exactly from the sign changes of Im z^{-n} P on the circle, which sit
-at rational multiples of pi, off a table of crossing gains, their circle
+Each disk question has one oracle, chosen by the gains: c1 = c2 (equal
+gains) and c1 = 0 (direct feedback) are one-gain loops whatever the tag.
+For them :func:`crossing_state` counts the zeros inside the unit disk
+exactly from the sign changes of Im z^{-n} P on the circle, which sit at
+rational multiples of pi, off a table of crossing gains, their circle
 angles and one winding per gap: no roots and no degree cap.  The gains are
 the endpoints of :func:`region_boundaries_bisect`, the count the state of
 :func:`classify` and `delaywave region --scan`, and the exact circle zero a
 MARGINAL witness and the start of :func:`unit_circle_continuation`.  The
-companion solve (capped at degree ``_MAX_REDUCED_DEGREE``) runs only in
-:func:`_companion_verdict`: an UNSTABLE witness and the two-gain cascade.
+companion roots (read by ``contour._rightmost_root``, and capped here at
+degree ``_MAX_REDUCED_DEGREE``) give only an UNSTABLE witness and the
+verdict of two gains.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .chareq import (
     g_expsum,
     rational_from_float,
 )
-from .contour import _first_unstable_root, _newton
-from .polyform import _ON_CIRCLE_TOL, StabilityState, reduce_to_polynomial, stability_from_poly
+from .contour import _first_unstable_root, _newton, _rightmost_root
+from .polyform import _ON_CIRCLE_TOL, StabilityState
 
 __all__ = [
     "CriticalSet",
@@ -68,7 +70,7 @@ __all__ = [
     "region_boundaries_bisect",
 ]
 
-# reduced disk polynomials beyond this degree are refused (companion solve cost)
+# classify refuses a companion solve beyond this reduced degree (its cost)
 _MAX_REDUCED_DEGREE = 2500
 
 # a gain c within _CROSSING_ETA * max(1, |c|) of a crossing gain c_k puts a zero on
@@ -508,13 +510,14 @@ def _rational_system(sys: DelaySystem) -> DelaySystem:
 def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVerdict:
     """Three-way stability verdict with an explicit unstable/marginal witness.
 
-    Rational delays go through the disk polynomial.  For the one-gain loops
-    the exact crossing count (:func:`crossing_state`) gives the state: a
-    STABLE verdict solves nothing, a MARGINAL witness is the exact circle
-    zero, and only an UNSTABLE witness takes the companion root of least
-    modulus (capped at degree ``_MAX_REDUCED_DEGREE``).  The two-gain
-    cascade takes state and witness from the companion roots.  A witness
-    z is mapped back by lam = -n log z and Newton-polished.  With
+    The gains pick the analysis, the tag only the function a witness is
+    polished on.  A rational one-gain loop (c1 = c2, or c1 = 0) takes its
+    state from :func:`crossing_state`, a MARGINAL witness from the exact
+    circle zero and an UNSTABLE one from ``contour._rightmost_root`` (lam =
+    -n log z of the companion root z of least modulus, Newton-polished).
+    Two gains take state and witness from that root, MARGINAL when
+    |z| = e^{-Re lam / n} is within ``_ON_CIRCLE_TOL`` of 1.  A companion
+    solve beyond degree ``_MAX_REDUCED_DEGREE`` is refused.  With
     ``treat_as_irrational`` the verdict is UNSTABLE, as the two-delay
     criterion (:func:`hale_two_delay`) fails at every finite gain (its
     1 + a1 > |a2 + a3| reads 0 > |a2 + a3|), and the witness is the
@@ -523,52 +526,35 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
     C1/|eps| (:func:`exclusion_constant`) for equal gains at eps from a
     delay they stabilise (at base 0 a root lies below 2 C1/|eps| + 2 pi).
     """
+    equal = sys.c1 == sys.c2
     if treat_as_irrational:
         base = 2 * round(sys.tau / 2)
-        C1 = exclusion_constant(base, sys.c2) if sys.kind is CharKind.CASCADE_EQUAL_GAINS else None
+        C1 = exclusion_constant(base, sys.c2) if equal else None
         start = C1 / abs(sys.tau - base) if C1 and sys.tau != base else 0.0
         lam, top = _first_unstable_root(sys, 2 * start + 64 * np.pi, start)
         if lam is None:
             raise WitnessSearchExhausted(f"no unstable root with |Im lam| below {top:.6g}")
         return StabilityVerdict(StabilityState.UNSTABLE, lam)
     rsys = _rational_system(sys)
-    if rsys.kind is CharKind.CASCADE_FULL:
-        return _companion_verdict(rsys)
     m, n = rsys.tau_rational.num, rsys.tau_rational.den
-    inside, theta = _crossings(rsys.kind, m, n, rsys.c2)
-    if inside:
-        return _companion_verdict(rsys, StabilityState.UNSTABLE)
-    if theta is None:
-        return StabilityVerdict(StabilityState.STABLE, None)
-    # the exact circle zero e^{i theta}: lam = -n log z = -i n theta
-    return _polished(rsys, StabilityState.MARGINAL, complex(0.0, -n * theta))
-
-
-def _polished(sys: DelaySystem, state: StabilityState, lam: complex) -> StabilityVerdict:
-    f = char_expsum(sys)
-    return StabilityVerdict(state, _newton(f.with_slope, lam, 4))
-
-
-def _companion_verdict(sys: DelaySystem, state: Optional[StabilityState] = None) -> StabilityVerdict:
-    """Verdict from the companion roots of the disk polynomial; a ``state``
-    already known is kept, and the roots give only its witness."""
-    m, n = sys.tau_rational.num, sys.tau_rational.den
+    one_gain = equal or sys.c1 == 0.0
+    if one_gain:
+        table = CharKind.CASCADE_EQUAL_GAINS if equal else CharKind.DIRECT_DELAY_FEEDBACK
+        inside, theta = _crossings(table, m, n, rsys.c2)
+        if not inside:
+            # the exact circle zero e^{i theta}: lam = -n log z = -i n theta
+            lam = None if theta is None else _newton(char_expsum(rsys).with_slope, complex(0.0, -n * theta), 4)
+            return StabilityVerdict(StabilityState.STABLE if lam is None else StabilityState.MARGINAL, lam)
     if m + 2 * n > _MAX_REDUCED_DEGREE:
-        raise ValueError(
-            f"reduced polynomial degree {m + 2 * n} exceeds {_MAX_REDUCED_DEGREE}; "
-            "use a coarser rational delay or the irrational path"
-        )
-    ps = stability_from_poly(reduce_to_polynomial(sys))
-    state = state or ps.state
-    if state is StabilityState.STABLE:
-        return StabilityVerdict(StabilityState.STABLE, None)
-    roots = np.asarray(ps.report.roots)
-    if state is StabilityState.UNSTABLE:
-        z = roots[np.argmin(np.abs(roots))]
-    else:
-        on = roots[np.abs(np.abs(roots) - 1.0) < _ON_CIRCLE_TOL]
-        z = on[np.argmin(np.abs(np.angle(on)))]
-    return _polished(sys, state, -n * np.log(complex(z)))
+        raise ValueError(f"reduced degree {m + 2 * n} exceeds {_MAX_REDUCED_DEGREE}; "
+                         "use a coarser rational delay or the irrational path")
+    lam = _rightmost_root(rsys)
+    r = math.exp(-lam.real / n)
+    if not one_gain and abs(r - 1.0) < _ON_CIRCLE_TOL:
+        return StabilityVerdict(StabilityState.MARGINAL, lam)
+    if one_gain or r < 1.0:
+        return StabilityVerdict(StabilityState.UNSTABLE, lam)
+    return StabilityVerdict(StabilityState.STABLE, None)
 
 
 def region_boundaries_bisect(

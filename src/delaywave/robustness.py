@@ -56,21 +56,21 @@ class PerturbationCase:
     base_tau: float
     epsilon: float
     c: float
-    l: Optional[int] = None
 
     def __post_init__(self):
         if self.base_tau + self.epsilon <= 0:
             raise ValueError("perturbed delay must stay positive")
-        if self.base_tau == 0.0:
-            if self.epsilon <= 0:
-                raise ValueError("base 0 takes epsilon > 0")
-        else:
-            l = self.l if self.l is not None else int(round(self.base_tau / 2))
-            if l < 1 or 2 * l != round(self.base_tau) or abs(self.base_tau - 2 * l) > 1e-12:
-                raise ValueError("base_tau must be 0 or an even integer 2l")
-            object.__setattr__(self, "l", l)
+        if self.l is None and self.epsilon <= 0:
+            raise ValueError("base 0 takes epsilon > 0")
+        if self.l is not None and (self.l < 1 or abs(self.base_tau - 2 * self.l) > 1e-12):
+            raise ValueError("base_tau must be 0 or an even integer 2l")
         if exclusion_constant(round(self.base_tau), self.c) is None:
             raise ValueError(f"c = {self.c} does not stabilise the delay {self.base_tau}")
+
+    @property
+    def l(self) -> Optional[int]:
+        """l of the base 2l, None at base 0."""
+        return int(round(self.base_tau / 2)) if self.base_tau else None
 
     @property
     def tau(self) -> float:

@@ -262,6 +262,11 @@ class TestEvalG:
         with pytest.raises(ValueError):
             eval_g(DelaySystem(DelayGains(0.1, 0.2), 2.0), 1j)
 
+    def test_any_tag_with_equal_gains(self):
+        lam = np.array([0.3 + 2.0j, -1.0 + 0.5j, 4.0j])
+        s, twin = DelaySystem(DelayGains(0.4, 0.4), 1.7), equal_gain_system(0.4, 1.7)
+        assert np.array_equal(eval_g(s, lam), eval_g(twin, lam))
+
 
 # ---------------------------------------------------------------- eigenfunctions
 

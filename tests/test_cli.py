@@ -342,6 +342,8 @@ class TestBadInput:
             ("critical", "--m", "0", "--n", "1"),
             ("critical", "--m", "-3", "--n", "1"),
             ("critical", "--m", "4", "--n", "2"),
+            ("region", "--tau-real", "3.141592653589793"),
+            ("region", "--tau-real", "3.141592653589793", "--scan=0:0.1:0.1"),
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -399,6 +399,11 @@ class TestCountInStrip:
         with pytest.raises(ValueError):
             count_in_strip(DelaySystem(DelayGains(0.1, 0.2), 2.0), 1, 2)
 
+    @pytest.mark.parametrize("tau, c, a, b", [(1.5, 2.0, -1, 1), (3.0, -0.7, 1, 4), (math.sqrt(2), 0.9, -3, 2)])
+    def test_any_tag_with_equal_gains(self, tau, c, a, b):
+        s = DelaySystem(DelayGains(c, c), tau)
+        assert count_in_strip(s, a, b) == count_in_strip(equal_gain_system(c, tau), a, b)
+
     def _multistart_oracle(self, sysd, a, b, re_max):
         # independent root count: Newton from a dense start grid, dedupe
         from delaywave.chareq import g_expsum

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import time
@@ -18,7 +19,7 @@ from delaywave.chareq import (
     equal_gain_system,
     eval_char,
 )
-from delaywave.contour import count_in_disk
+from delaywave.contour import count_in_disk, spectral_abscissa
 from delaywave.polyform import StabilityState, disk_roots, reduce_to_polynomial, stability_from_poly
 from delaywave.regions import (
     RegionSpec,
@@ -697,3 +698,111 @@ class TestCrossingState:
     def test_full_cascade_rejected(self):
         with pytest.raises(ValueError):
             regions.crossing_state(CharKind.CASCADE_FULL, 3, 2, 0.1)
+
+
+class TestGainsPickTheAnalysis:
+    """The gains, not the tag, choose the analysis: c1 = c2 and c1 = 0 are the
+    one-gain loops whatever the tag, and two gains read the rightmost root."""
+
+    @staticmethod
+    def relative_residual(s, lam):
+        f = char_expsum(s)
+        return abs(complex(f(lam))) / float(f.magnitude(lam))
+
+    def test_tiny_direct_gain_is_marginal(self):
+        # P = -1e-20 z^5 + z^4 + 1e-20 z + 1: four zeros within 1e-20 of the
+        # circle, which the companion solve would put near |z| = 1e20
+        v = classify(DelaySystem(DelayGains(0.0, 1e-20), 0.5, Rational(1, 2)))
+        assert v.state is StabilityState.MARGINAL and abs(v.witness.real) < 1e-9
+
+    def twins(self, c, m, n):
+        rat = Rational(m, n)
+        yield DelaySystem(DelayGains(c, c), m / n, rat), equal_gain_system(c, m / n, rat)
+        yield DelaySystem(DelayGains(0.0, c), m / n, rat), direct_feedback_system(c, m / n, rat)
+
+    def test_untagged_one_gain_loops_match_their_twins(self):
+        rng = np.random.default_rng(15)
+        checked = 0
+        for m, n in itertools.product(range(1, 13), range(1, 5)):
+            if m == n or math.gcd(m, n) != 1:
+                continue
+            gains = {0.0, *rng.uniform(-1.5, 1.5, 8).round(6).tolist()}
+            for kind in TestCrossingState.KINDS:
+                gains.update(regions._crossing_table(kind, m, n).gains)
+            for c in sorted(gains):
+                for s, twin in self.twins(c, m, n):
+                    v, w = classify(s), classify(twin)
+                    assert v.state is w.state, (m, n, c, s.gains)
+                    if v.witness is not None:
+                        assert self.relative_residual(s, v.witness) < 1e-10, (m, n, c, s.gains)
+                    checked += 1
+        assert checked == 1108
+
+    def test_beyond_the_companion_degree_cap(self):
+        t0 = time.perf_counter()
+        c = 0.5 * stability_region(20000.0, CharKind.CASCADE_EQUAL_GAINS).upper
+        v = classify(DelaySystem(DelayGains(c, c), 20000.0, Rational(20000, 1)))
+        assert v.state is StabilityState.STABLE and v.witness is None
+        v = classify(DelaySystem(DelayGains(0.0, 0.0), 20001 / 10000, Rational(20001, 10000)))
+        assert v.state is StabilityState.MARGINAL and abs(v.witness.real) < 1e-9
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (3, 2), (7, 3), (5, 4)])
+    @pytest.mark.parametrize("c1", [-0.9, -0.3, 0.4, 0.7])
+    def test_two_gains_with_c2_zero_are_marginal(self, m, n, c1):
+        # P = (1 + c1 z^m)(1 + z^(2n)): the first factor's zeros lie outside
+        s = DelaySystem(DelayGains(c1, 0.0), m / n, Rational(m, n))
+        v = classify(s)
+        assert v.state is StabilityState.MARGINAL
+        assert abs(v.witness.real) < 1e-9 and self.relative_residual(s, v.witness) < 1e-10
+
+    def test_two_gain_stable(self):
+        v = classify(DelaySystem(DelayGains(-0.3, -0.2), 2.0, Rational(2, 1)))
+        assert v.state is StabilityState.STABLE and v.witness is None
+
+    def test_two_gain_sweep_agrees_with_the_companion_verdict(self):
+        # every other draw at an even delay with small gains, where stable loops are
+        rng = np.random.default_rng(2015)
+        seen = collections.Counter()
+        for i in range(600):
+            if i % 2:
+                m, n = 2 * int(rng.integers(1, 30)), 1
+                c1, c2 = (rng.integers(-500, 501, 2) / 1000).tolist()
+            else:
+                n = int(rng.integers(1, 30))
+                m = int(rng.integers(1, 61 - 2 * n))
+                c1, c2 = (rng.integers(-1500, 1501, 2) / 1000).tolist()
+            if math.gcd(m, n) != 1 or c1 == c2 or c1 == 0.0:
+                continue
+            s = DelaySystem(DelayGains(c1, c2), m / n, Rational(m, n))
+            ps = stability_from_poly(reduce_to_polynomial(s))
+            if min(abs(abs(z) - 1.0) for z in ps.report.roots) <= 1e-6:
+                continue
+            v = classify(s)
+            assert v.state is ps.state, (m, n, c1, c2)
+            if v.witness is not None:
+                assert v.witness.real > 0 and self.relative_residual(s, v.witness) < 1e-10
+            seen[v.state] += 1
+        assert seen[StabilityState.STABLE] >= 20 and seen[StabilityState.UNSTABLE] >= 200
+
+    def test_irrational_path_starts_at_the_exclusion_height_for_any_tag(self):
+        lam = classify(DelaySystem(DelayGains(-0.5, -0.5), 2.001), treat_as_irrational=True).witness
+        twin = classify(equal_gain_system(-0.5, 2.001), treat_as_irrational=True).witness
+        assert abs(lam - twin) < 1e-9
+
+    def test_spectral_abscissa_is_the_unstable_witness(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for m, n in ((2, 1), (3, 2), (7, 3), (41, 20), (5, 1)):
+            rat = Rational(m, n)
+            for c1, c2 in rng.uniform(-1.5, 1.5, (12, 2)).tolist():
+                for s in (
+                    DelaySystem(DelayGains(c1, c2), m / n, rat),
+                    equal_gain_system(c1, m / n, rat),
+                    direct_feedback_system(c2, m / n, rat),
+                ):
+                    v = classify(s)
+                    if v.state is StabilityState.UNSTABLE:
+                        assert spectral_abscissa(s) == v.witness.real, (m, n, s.gains)
+                        checked += 1
+        assert checked > 50

@@ -43,6 +43,11 @@ class TestPerturbationCase:
     def test_l_derived(self):
         assert PerturbationCase(4.0, 0.01, 0.2).l == 2
 
+    def test_l_is_read_only(self):
+        assert PerturbationCase(0.0, 0.05, 1.0).l is None
+        with pytest.raises(TypeError):
+            PerturbationCase(2.0, 0.05, -0.3, 1)
+
 
 class TestBounds:
     def test_even_base_constants(self):
