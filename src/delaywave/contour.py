@@ -20,9 +20,10 @@ winding of an :class:`ExpSum` takes its initial density from one place,
 
 Root isolation bisects level by level: the halves of every box of a level
 are wound in one batch.  One strip scan answers every question about the
-lowest unstable root: boxes up the right half-plane, from a height below
-which one winding shows no root, are wound in batches that double in size,
-and the first box with a root is isolated.
+lowest unstable root, clearance below a height included: boxes up the
+right half-plane from 0 are wound in batches that grow, within the phase
+budget, while they come back empty; a tall box with a root is scanned
+again in shorter boxes, and the first short one with a root is isolated.
 
 Double roots are certified structurally rather than by ever-finer bisection:
 principal-value tracking cannot see the full 2*pi swing of a quadratic dip
@@ -66,7 +67,8 @@ _ZERO_TOL = 1e-12
 # bisection depth cap of root isolation
 _MAX_DEPTH = 60
 # a rectangle side along which the fastest ExpSum term turns its phase by more
-# than this is refused: the samples a winding needs there run to hundreds of MB
+# than this is refused (a batch of the strip scan turns it by no more in all):
+# the samples a winding needs there run to hundreds of MB
 _MAX_PHASE = 2e5
 
 
@@ -352,7 +354,7 @@ def _sample_hint(es: ExpSum, span):
     if np.any(phase > _MAX_PHASE):
         raise ValueError(
             f"a rectangle side turns the phase by {np.max(phase):.3g} > {_MAX_PHASE:.0e}, "
-            "beyond the reach of one winding; shrink the rectangle or enlarge eps"
+            "beyond the reach of one winding; shrink the rectangle"
         )
     return np.minimum(np.maximum(phase, 17), 20001).astype(int)
 
@@ -639,57 +641,56 @@ def _rightmost_root(sys: DelaySystem) -> Optional[complex]:
     return _newton(char_expsum(sys).with_slope, -sys.tau_rational.den * np.log(complex(z)), 4)
 
 
-def min_unstable_imag(sys: DelaySystem, im_cap: float, start: float = 0.0) -> Optional[float]:
+def min_unstable_imag(sys: DelaySystem, im_cap: float) -> Optional[float]:
     """Smallest |Im lam| over roots with Re lam >= 0 up to ``im_cap``, or None,
-    by the strip scan of :func:`_first_unstable_root` from ``start``."""
-    lam, _ = _first_unstable_root(sys, im_cap, start)
+    by the strip scan of :func:`_first_unstable_root`."""
+    lam, _ = _first_unstable_root(sys, im_cap)
     return None if lam is None else abs(lam.imag)
 
 
-def _clear_below(func, reb, height) -> bool:
-    """True iff one winding finds no zero in [-1e-9, reb] x [-1e-9, height]."""
-    rect = ComplexRect(-1e-9, reb, -1e-9, height)
-    return _winding_with_retries(func, rect)[0] == 0
-
-
-def _first_unstable_root(sys: DelaySystem, height: float, start: float = 0.0) -> tuple:
+def _first_unstable_root(sys: DelaySystem, height: float) -> tuple:
     """``(lam, top)``: the root with Re lam >= -1e-8 and the least Im lam in
     [0, top), or None, and the height ``top`` scanned: ``height``, or
     pi (n + 1/2) for tau = m/n if lower, as the roots repeat every 2 pi n in
     Im and come in conjugate pairs (a negative real zero of the disk
     polynomial puts roots on Im = pi n).
 
-    The scan starts just below ``start`` when :func:`_clear_below` confirms
-    that no root lies beneath, else at 0.  Boxes [-1e-9, re_bound] x
-    [lo - 1e-9, hi] of height max(pi, re_bound) are wound in batches of 8,
-    16, ..., 256 and read in order; a box that met a contact is wound again
-    under :func:`_winding_with_retries` before the next is read, and
-    :func:`_isolate` refines the first box with a nonzero count.  A
-    ``start`` beyond the phase budget ``_MAX_PHASE`` of the clearance
-    winding raises ValueError.
+    Batches of 8 boxes [-1e-9, re_bound] x [a - 1e-9, a + h] are wound up
+    from 0 and read in order; h is the base step max(pi, re_bound), then
+    1/8 of the height scanned, as long as the 8 boxes turn the phase by at
+    most ``_MAX_PHASE`` in all, so memory does not grow with the height.  A
+    taller box with a root or a contact is scanned again in boxes of 1/8
+    its height; a base-step one goes to :func:`_isolate` (after
+    :func:`_winding_with_retries` on a contact).
     """
     reb = re_bound(sys)
     func = char_expsum(sys)
-    dfunc = func.derivative()
     if sys.tau_rational is not None:
         height = min(height, np.pi * (sys.tau_rational.den + 0.5))
-    # a root can sit on the exclusion height itself (for eps < 0 it does)
-    start = min(start, height) * (1.0 - 1e-6)
-    try:
-        lo = start if start > 0 and _clear_below(func, reb, start) else 0.0
-    except OnContourZero:
-        lo = 0.0
-    step, size = max(np.pi, reb), 8
-    while height - lo >= 1e-9:
-        los = [a for a in lo + step * np.arange(size) if height - a >= 1e-9]
-        box = [(-1e-9, reb, a - 1e-9, min(a + step, height)) for a in los]
-        kk, lost = _rect_windings(func, box, _sample_hint(func, np.full(len(box), step)))
-        for i, k in enumerate(kk):
-            rect = ComplexRect(*box[i])
-            if i in lost:
-                k, rect = _winding_with_retries(func, rect)
-            cands = [r.lam for r in _isolate(func, dfunc, rect, k, _MAX_DEPTH) if r.lam.real >= -1e-8]
-            if cands:
-                return min(cands, key=lambda z: abs(z.imag)), height
-        lo, size = box[-1][3], min(2 * size, 256)
-    return None, height
+    step = max(np.pi, reb)
+
+    def scan(j, k, size):
+        """The root sought in ``size`` boxes of ``k`` steps from ``j`` steps up, or None."""
+        los = [a for a in range(j, j + k * size, k) if height - a * step >= 1e-9]
+        box = [(-1e-9, reb, a * step - 1e-9, min((a + k) * step, height)) for a in los]
+        kk, lost = _rect_windings(func, box, _sample_hint(func, np.full(len(box), k * step)))
+        for i, a in enumerate(los):
+            if not kk[i] and i not in lost:
+                continue
+            if k > 1:
+                lam = scan(a, max(1, k // 8), min(k, 8))
+            else:
+                rect = ComplexRect(*box[i])
+                w, rect = _winding_with_retries(func, rect) if i in lost else (kk[i], rect)
+                cands = [r.lam for r in _isolate(func, func.derivative(), rect, w, _MAX_DEPTH) if r.lam.real >= -1e-8]
+                lam = min(cands, key=lambda z: abs(z.imag), default=None)
+            if lam is not None:
+                return lam
+        return None
+
+    k_max = 2 ** max(0, math.floor(math.log2(_MAX_PHASE / (8 * step * max(map(abs, func.rates))))))
+    j, k, lam = 0, 1, None
+    while lam is None and height - j * step >= 1e-9:
+        lam = scan(j, k, 8)
+        j, k = j + 8 * k, min(j // 8 + k, k_max)
+    return lam, height

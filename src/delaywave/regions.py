@@ -522,16 +522,16 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
     criterion (:func:`hale_two_delay`) fails at every finite gain (its
     1 + a1 > |a2 + a3| reads 0 > |a2 + a3|), and the witness is the
     lowest-frequency root with Re lam >= -1e-8 that the strip scan of
-    :func:`min_unstable_imag` finds within 64 pi above twice its start:
-    C1/|eps| (:func:`exclusion_constant`) for equal gains at eps from a
-    delay they stabilise (at base 0 a root lies below 2 C1/|eps| + 2 pi).
+    :func:`min_unstable_imag` finds up to 64 pi above 2 C1/|eps|, with C1
+    from :func:`exclusion_constant` for equal gains at eps from a delay
+    they stabilise (at base 0 a root lies below 2 C1/|eps| + 2 pi), else 0.
     """
     equal = sys.c1 == sys.c2
     if treat_as_irrational:
         base = 2 * round(sys.tau / 2)
         C1 = exclusion_constant(base, sys.c2) if equal else None
-        start = C1 / abs(sys.tau - base) if C1 and sys.tau != base else 0.0
-        lam, top = _first_unstable_root(sys, 2 * start + 64 * np.pi, start)
+        low = C1 / abs(sys.tau - base) if C1 and sys.tau != base else 0.0
+        lam, top = _first_unstable_root(sys, 2 * low + 64 * np.pi)
         if lam is None:
             raise WitnessSearchExhausted(f"no unstable root with |Im lam| below {top:.6g}")
         return StabilityVerdict(StabilityState.UNSTABLE, lam)

@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .chareq import DelaySystem, ExpSum, char_expsum, equal_gain_system
-from .contour import _clear_below, min_unstable_imag, re_bound
+from .chareq import DelaySystem, ExpSum, equal_gain_system
+from .contour import min_unstable_imag
 from .polyform import StabilityState
 from .regions import classify, exclusion_constant
 
@@ -124,33 +124,29 @@ def check_low_freq_clear(case: PerturbationCase) -> bool:
 
     At eps = 0 the base system is exponentially stable, so every height is
     clear and the check reduces to the classifier.  By conjugate symmetry
-    only the upper strip is wound, in one rectangle; a height beyond the
-    phase budget of one winding (about |eps| < 1e-5 at base 2) raises
-    ValueError.
+    only the upper half-plane is scanned, by the strip scan of
+    :func:`min_unstable_imag` up to that height.
     """
     if case.epsilon == 0.0:
         return classify(perturbed_system(case)).state is StabilityState.STABLE
-    bounds = bounds_for(case)
-    height = bounds.C1 / abs(case.epsilon)
-    sys = perturbed_system(case)
-    return _clear_below(char_expsum(sys), re_bound(sys), height * (1.0 - 1e-6))
+    height = bounds_for(case).C1 / abs(case.epsilon)
+    return min_unstable_imag(perturbed_system(case), height * (1.0 - 1e-6)) is None
 
 
 def find_lambda_eps(case: PerturbationCase) -> float:
     """Lowest unstable frequency inf{|Im lam| : root with Re lam >= 0}.
 
-    The strip scan of :func:`min_unstable_imag` starts at the exclusion
-    height C1/|eps| and runs up to twice the cap 2*C2/|eps| + 2pi; it stops
-    at the first root.  The result must satisfy the exclusion/existence
-    sandwich C1/|eps| <= lambda_eps <= (S_eps + 1) pi.
+    The strip scan of :func:`min_unstable_imag` runs from 0 up to twice the
+    cap 2*C2/|eps| + 2pi and stops at the first root.  The result must
+    satisfy the exclusion/existence sandwich C1/|eps| <= lambda_eps <=
+    (S_eps + 1) pi.
     """
     if case.epsilon == 0.0:
         raise ValueError("eps = 0 has no unstable roots; the sweep reports it as absent")
     bounds = bounds_for(case)
     eps = abs(case.epsilon)
-    sys = perturbed_system(case)
     cap = 2.0 * bounds.C2 / eps + 2.0 * math.pi
-    val = min_unstable_imag(sys, 2.0 * cap, bounds.C1 / eps)
+    val = min_unstable_imag(perturbed_system(case), 2.0 * cap)
     if val is None:
         raise LambdaEpsNotFound(
             f"no unstable root below |Im| = {2 * cap:.2f} for tau = {case.tau}"
@@ -231,17 +227,19 @@ def sweep(case_template: PerturbationCase, eps_list: Sequence[float]) -> List[Sw
     """Batch lambda_eps / clearance over a list of perturbations.
 
     Rows keep the input order; failures are captured per row and the sweep
-    continues.  eps = 0 rows report lambda_eps as absent (stable base).
+    continues.  A row runs one strip scan, in :func:`find_lambda_eps`, and
+    is clear iff lambda_eps >= (1 - 1e-6) C1/|eps|; eps = 0 rows report
+    lambda_eps as absent (stable base) and take :func:`check_low_freq_clear`.
     """
     rows: List[SweepRow] = []
     for eps in eps_list:
         try:
             case = replace(case_template, epsilon=float(eps))
-            clear = check_low_freq_clear(case)
             if eps == 0.0:
-                rows.append(SweepRow(float(eps), None, None, clear))
+                rows.append(SweepRow(float(eps), None, None, check_low_freq_clear(case)))
                 continue
             lam = find_lambda_eps(case)
+            clear = lam >= (1.0 - 1e-6) * bounds_for(case).C1 / abs(eps)
             rows.append(SweepRow(float(eps), lam, abs(eps) * lam, clear))
         except Exception as exc:  # per-row capture by contract
             rows.append(SweepRow(float(eps), None, None, None, f"{type(exc).__name__}: {exc}"))

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,8 +92,11 @@ class TestClearance:
         assert check_low_freq_clear(PerturbationCase(2.0, 0.0, -0.3))
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            check_low_freq_clear(PerturbationCase(2.0, 1e-5, -0.3))
+        # C1/|eps| ~ 1.3e5: the scan's boxes grow within the phase budget of
+        # one winding, where a single rectangle of that height exceeds it
+        t0 = time.perf_counter()
+        assert check_low_freq_clear(PerturbationCase(2.0, 1e-5, -0.3)) is True
+        assert time.perf_counter() - t0 < 3.0
 
 
 class TestLambdaEps:
@@ -255,9 +259,57 @@ class TestSweep:
             assert row.error is None and row.low_freq_clear is True
             assert b.C1 / abs(row.eps) - 1e-6 <= row.lambda_eps <= (b.S_eps + 1) * PI + 1e-6
 
+    def test_reach_to_1e6(self):
+        # the paper's regime down to |eps| = 1e-6, where lambda_eps ~ 1e6
+        t0 = time.perf_counter()
+        rows = sweep(PerturbationCase(2.0, 1e-5, -0.5), [1e-5, -1e-5, 1e-6, -1e-6])
+        assert time.perf_counter() - t0 < 40.0
+        assert [r.eps for r in rows] == [1e-5, -1e-5, 1e-6, -1e-6]
+        for row in rows:
+            b = bounds_for(PerturbationCase(2.0, row.eps, -0.5))
+            assert row.error is None and row.low_freq_clear is True
+            assert b.C1 / abs(row.eps) - 1e-6 <= row.lambda_eps <= (b.S_eps + 1) * PI + 1e-6
+            assert abs(row.lambda_eps - high_frequency_onset(row.eps, -0.5)) < PI
+
+    def test_scan_memory_bounded_by_phase_budget(self):
+        # a batch of the scan is bounded by the phase budget, not by the
+        # height scanned: ten times the height takes no more memory
+        peaks = []
+        for eps in (1e-5, 1e-6):
+            tracemalloc.start()
+            find_lambda_eps(PerturbationCase(2.0, eps, -0.5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
     def test_sandwich_invariant(self):
         template = PerturbationCase(0.0, 0.1, 1.0)
         for row in sweep(template, [0.1, 0.05, 0.02]):
             b = bounds_for(PerturbationCase(0.0, row.eps, 1.0))
             assert b.C1 / row.eps - 1e-9 <= row.lambda_eps <= (b.S_eps + 1) * PI + 1e-9
             assert row.low_freq_clear
+
+
+def high_frequency_onset(eps, c):
+    """The first w > 0 with (1/2) log|1 + 2c e^{-i eps w}| > 0.
+
+    At height w on the line Re lam ~ 0, e^{-eps lam} is nearly e^{-i eps w},
+    so the roots of e^{2 lam} + 2c e^{-eps lam} + 1 (base 2, tau = 2 + eps)
+    there are those of the base delay with the complex gain c e^{-i eps w}:
+    Re lam ~ (1/2) log|1 + 2c e^{-i eps w}|.  The first positive value is
+    found on a grid of theta = |eps| w over one period, then bisected; the
+    log is positive where its argument exceeds 1.
+    """
+    def grows(theta):
+        return np.abs(1.0 + 2.0 * c * np.exp(-1j * theta)) > 1.0
+
+    theta = np.linspace(0.0, 2.0 * PI, 100001)
+    i = int(np.argmax(grows(theta)))
+    assert i > 0 and grows(theta[i])
+    lo, hi = theta[i - 1], theta[i]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (lo, mid) if grows(mid) else (mid, hi)
+    return hi / abs(eps)

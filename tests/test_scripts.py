@@ -18,11 +18,11 @@ def run_script(name, *args):
 
 
 def test_robustness_sweep_failed_row_exits_1():
-    # eps = 1e-6 puts the clearance rectangle beyond the phase budget of one winding
-    r = run_script("robustness_sweep.py", "--base", "2", "--c", "-0.5", "--eps", "0.000001,0.1")
+    # eps = -2.5 makes the perturbed delay negative
+    r = run_script("robustness_sweep.py", "--base", "2", "--c", "-0.5", "--eps", "0.1,-2.5,0.05")
     assert r.returncode == 1
     assert "ERROR ValueError" in r.stdout
-    assert "     0.1 " in r.stdout  # the rows after the failure are still printed
+    assert "    0.05 " in r.stdout  # the rows after the failure are still printed
 
 
 def test_robustness_sweep_clean_run_exits_0():
