@@ -265,13 +265,14 @@ def cmd_simulate(args) -> int:
     fitted = None if rate == pdesim.EXTINCT else rate
     gap = None
     if fitted is not None and two_s not in (None, 0.0):
-        gap = abs(fitted - two_s) / abs(two_s)
+        # a difference of two nearly equal rates: digits past the 3rd are rounding noise
+        gap = float(f"{abs(fitted - two_s) / abs(two_s):.3g}")
     summary = {
         "schema": SCHEMA,
         "command": "simulate",
         "fitted_rate": _jsonable(fitted),
         "two_s": _jsonable(two_s),
-        "relative_gap": _jsonable(gap),
+        "relative_gap": gap,
         "extinct": rate == pdesim.EXTINCT,
         "fit_window": [_jsonable(t0), _jsonable(t1)],
     }

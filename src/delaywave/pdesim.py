@@ -180,12 +180,21 @@ def init(config: SimConfig) -> SimState:
 
 
 def energy(state: SimState) -> float:
-    """E = (1/2) int_0^1 (z_x^2 + z_t^2 + w^2) dx by trapezoid quadrature."""
-    p, q, w = state.p, state.q, state.w
-    wave = 0.5 * (p * p + q * q)  # z_x^2 + z_t^2 = (p^2 + q^2)/2
-    ew = np.trapezoid(wave, dx=1.0 / (p.size - 1))
-    et = np.trapezoid(w * w, dx=1.0 / (w.size - 1))
-    return 0.5 * (ew + et)
+    """E = (1/2) int_0^1 (z_x^2 + z_t^2 + w^2) dx by trapezoid quadrature.
+
+    With z_x^2 + z_t^2 = (p^2 + q^2)/2 and the rule dx (sum y - (y_first +
+    y_last)/2), E is sums of squares less endpoint squares.  q and w are
+    summed in trace order, where a ``_trace_blocks`` state is a contiguous
+    buffer slice that ``np.dot`` reads in place; it copies a ``step`` state
+    into that order, so both sum the same values in the same order.
+    """
+    p, q, w = state.p, state.q[::-1], state.w[::-1]
+    p0, p1 = p[::p.size - 1].tolist()
+    q0, q1 = q[::q.size - 1].tolist()
+    w0, w1 = w[::w.size - 1].tolist()
+    wave = (np.dot(p, p) + np.dot(q, q) - 0.5 * (p0 * p0 + p1 * p1 + q0 * q0 + q1 * q1)) / (p.size - 1)
+    delay = (np.dot(w, w) - 0.5 * (w0 * w0 + w1 * w1)) / (w.size - 1)
+    return 0.25 * wave + 0.5 * delay
 
 
 def _advance(p: np.ndarray, q: np.ndarray, w: np.ndarray, c1: float, c2: float) -> None:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import time
 
 import pytest
@@ -240,6 +241,17 @@ class TestSimulate:
         rows = list(csv.DictReader(trace_path.open()))
         assert len(rows) == 41
         assert float(rows[0]["t"]) == 0.0
+
+    def test_relative_gap_three_significant_digits(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "simulate", "--tau", "41/20", "--c1", "-0.285584", "--c2", "-0.285584",
+            "--K", "20", "--T", "60", "--output", str(tmp_path / "energy.csv"),
+        )
+        assert code == 0
+        printed = re.search(r'"relative_gap": (\S+?),?\n', out).group(1)
+        summary = json.loads(out)
+        gap = abs(summary["fitted_rate"] - summary["two_s"]) / abs(summary["two_s"])
+        assert printed == repr(float(f"{gap:.3g}")) == "0.0375"
 
     def test_state_dump(self, capsys, tmp_path):
         trace_path = tmp_path / "energy.csv"

@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from delaywave import pdesim
 from delaywave.chareq import DelayGains, Rational, equal_gain_system
 from delaywave.contour import spectral_abscissa
 from delaywave.pdesim import (
     EXTINCT,
     InitialCondition,
     SimConfig,
+    SimState,
     boundary_trace_recursion,
     decay_rate,
     default_fit_window,
@@ -76,6 +78,68 @@ class TestConfigAndInit:
         cfg1 = config(2, 1, 0.0, 0.0)
         cfg2 = SimConfig(Rational(2, 1), DelayGains(0.0, 0.0), 40, 40.0, doubled)
         assert energy(init(cfg2)) == pytest.approx(4 * energy(init(cfg1)), rel=1e-13)
+
+
+# ---------------------------------------------------------------- energy quadrature
+
+
+def trapezoid_energy(p, q, w):
+    """The energy by ``np.trapezoid``, the rule ``energy`` must reproduce."""
+    wave = np.trapezoid(0.5 * (p * p + q * q), dx=1.0 / (p.size - 1))
+    return 0.5 * (wave + np.trapezoid(w * w, dx=1.0 / (w.size - 1)))
+
+
+def reversed_view(a):
+    """The values of ``a`` as a reversed view of a reversed copy, the layout
+    of the q and w that ``simulate`` hands to ``energy``."""
+    return a[::-1].copy()[::-1]
+
+
+SIZES = (2, 3, 401, 4101)
+
+
+class TestEnergyQuadrature:
+    @staticmethod
+    def seeded(n_wave, n_delay):
+        rng = np.random.default_rng(1000 * n_wave + n_delay)
+        return rng.standard_normal(n_wave), rng.standard_normal(n_wave), rng.standard_normal(n_delay)
+
+    @pytest.mark.parametrize("n_delay", SIZES)
+    @pytest.mark.parametrize("n_wave", SIZES)
+    def test_matches_trapezoid_rule(self, n_wave, n_delay):
+        p, q, w = self.seeded(n_wave, n_delay)
+        ref = trapezoid_energy(p, q, w)
+        # float64 rounding of sums of N + M + 2 nonnegative terms, both sides
+        bound = 4 * (n_wave + n_delay) * 2.0 ** -53 * ref
+        for layout in (lambda a: a, reversed_view):
+            e = energy(SimState(layout(p), layout(q), layout(w), 0, 1.0))
+            assert abs(e - ref) <= bound
+
+    @pytest.mark.parametrize("n_wave,n_delay", [(2, 3), (3, 2), (401, 4101), (4101, 401)])
+    def test_zero_state_is_exactly_zero(self, n_wave, n_delay):
+        for layout in (lambda a: a, reversed_view):
+            st = SimState(layout(np.zeros(n_wave)), layout(np.zeros(n_wave)), layout(np.zeros(n_delay)), 0, 1.0)
+            assert energy(st) == 0.0
+
+    @pytest.mark.parametrize("n_delay", SIZES)
+    @pytest.mark.parametrize("n_wave", SIZES)
+    def test_layout_invariance(self, n_wave, n_delay):
+        # what lets the block recursion match the stepper bit for bit
+        p, q, w = self.seeded(n_wave, n_delay)
+        contiguous = SimState(p, q, w, 0, 1.0)
+        as_traced = SimState(p, reversed_view(q), reversed_view(w), 0, 1.0)
+        assert energy(contiguous) == energy(as_traced)
+
+    def test_one_energy_call_per_sample(self, monkeypatch):
+        calls = []
+
+        def counting(state):
+            calls.append(state.step_index)
+            return energy(state)
+
+        monkeypatch.setattr(pdesim, "energy", counting)
+        trace = simulate(config(3, 2, -0.3, 0.2, K=6, T=10.0, sample_every=0.5))
+        assert len(calls) == len(trace.samples) == 21
 
 
 # ---------------------------------------------------------------- stepping
