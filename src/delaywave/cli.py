@@ -98,13 +98,10 @@ _FLOATS = _arg(lambda t: [float(v) for v in t.split(",")], _finite, "comma-separ
 
 def _parse_tau(args) -> tuple:
     """Returns (tau, tau_rational or None)."""
-    if getattr(args, "tau", None) is not None:
+    if args.tau is not None:
         return args.tau.value, args.tau
-    if getattr(args, "tau_real", None) is not None:
-        if getattr(args, "treat_as_irrational", False):
-            return args.tau_real, None
-        rat = chareq.rational_from_float(args.tau_real)
-        return args.tau_real, rat
+    if args.tau_real is not None:
+        return args.tau_real, chareq.rational_from_float(args.tau_real)
     raise UsageError("provide --tau M/N or --tau-real X")
 
 
@@ -144,14 +141,16 @@ def _jsonable(x):
 
 def cmd_region(args) -> int:
     tau, rat = _parse_tau(args)
-    if rat is None and not args.treat_as_irrational:
+    if args.treat_as_irrational:
+        if args.tau is not None:
+            raise UsageError("--treat-as-irrational takes a decimal --tau-real, not --tau M/N")
+        rat = None
+    elif rat is None:
         raise UsageError(f"--tau-real {tau!r} has no small fraction; add --treat-as-irrational")
     kind = _kind(args.kind)
     closed = regions.stability_region(tau, kind)
-    if args.treat_as_irrational:
-        bisected = None
-    else:
-        bisected = regions.region_boundaries_bisect(tau, kind, tau_rational=rat)
+    window = (None, None) if closed.empty else (closed.lower, closed.upper)
+    bisected = None if args.treat_as_irrational else regions.region_boundaries_bisect(tau, kind, tau_rational=rat)
     scan_rows: Optional[List] = None
     if args.scan:
         lo, hi, step = args.scan
@@ -171,14 +170,8 @@ def cmd_region(args) -> int:
             "command": "region",
             "kind": args.kind,
             "tau": str(rat) if rat else _jsonable(tau),
-            "closed_form": {
-                "empty": closed.empty,
-                "lower": None if closed.empty else _jsonable(closed.lower),
-                "upper": None if closed.empty else _jsonable(closed.upper),
-            },
-            "bisected": None
-            if bisected is None
-            else {"lower": _jsonable(bisected[0]), "upper": _jsonable(bisected[1])},
+            "closed_form": {"empty": closed.empty, "lower": _jsonable(window[0]), "upper": _jsonable(window[1])},
+            "bisected": None if bisected is None else {"lower": _jsonable(bisected[0]), "upper": _jsonable(bisected[1])},
             "scan": None if scan_rows is None else [{"c": _jsonable(c), "state": s} for c, s in scan_rows],
         }
         _write_json(args.output, payload)
@@ -186,19 +179,8 @@ def cmd_region(args) -> int:
         if scan_rows is not None:
             _write_csv(args.output, ["c", "state"], scan_rows)
         else:
-            _write_csv(
-                args.output,
-                ["empty", "lower", "upper", "bisected_lower", "bisected_upper"],
-                [
-                    (
-                        closed.empty,
-                        None if closed.empty else closed.lower,
-                        None if closed.empty else closed.upper,
-                        None if bisected is None else bisected[0],
-                        None if bisected is None else bisected[1],
-                    )
-                ],
-            )
+            header = ["empty", "lower", "upper", "bisected_lower", "bisected_upper"]
+            _write_csv(args.output, header, [(closed.empty, *window, *(bisected or (None, None)))])
     return 0
 
 
@@ -302,15 +284,11 @@ def build_parser() -> _Parser:
         if tau:
             sp.add_argument("--tau", type=_delay("; use --tau-real for a decimal"), help="rational delay M/N")
             sp.add_argument("--tau-real", type=_POSITIVE, help="delay as a decimal")
-            sp.add_argument(
-                "--treat-as-irrational",
-                action="store_true",
-                help="use the two-delay criterion instead of the rational reduction",
-            )
 
     sp = sub.add_parser("region", help="stability window for the gain")
     sp.set_defaults(func=cmd_region, format="json")
     add_common(sp, fmt=True)
+    sp.add_argument("--treat-as-irrational", action="store_true", help="with --tau-real: the two-delay criterion")
     sp.add_argument("--kind", choices=["cascade", "direct"], default="cascade")
     sp.add_argument("--scan", type=_SCAN, help="lo:hi:step grid of gains to classify (use --scan=-1:1:0.1 for negative lo)")
 

@@ -70,6 +70,9 @@ _MAX_DEPTH = 60
 # than this is refused (a batch of the strip scan turns it by no more in all):
 # the samples a winding needs there run to hundreds of MB
 _MAX_PHASE = 2e5
+# count_in_disk refuses a winding from more samples than this: its doubling rounds
+# hold several arrays of twice as many (606 MB of process memory at degree 400001)
+_MAX_DISK_SAMPLES = 2**20
 
 
 class OnContourZero(ArithmeticError):
@@ -362,22 +365,25 @@ def _sample_hint(es: ExpSum, span):
 def count_in_disk(p) -> int:
     """Zeros of the polynomial ``p`` in the open unit disk, by winding.
 
-    Only the nonzero terms a_k z^k are evaluated, as a_k exp(2 pi i k t), so
-    a sample costs O(terms), not O(degree), and memory stays O(samples).
-    Raises :class:`OnContourZero` when p has a root on (or numerically on)
-    the unit circle.
+    ``p`` is a :class:`polyform.PolyReal` or its nonzero terms {k: a_k}, each
+    evaluated as a_k exp(2 pi i k t): a sample costs O(terms), memory is
+    O(samples), 8 degree + 1 at first, and beyond ``_MAX_DISK_SAMPLES`` it
+    raises ValueError at once.  Raises :class:`OnContourZero` when p has a
+    root on (or numerically on) the unit circle.
     """
-    if p.degree == 0:
-        if p.coeffs[0] == 0.0:
-            raise ValueError("zero polynomial")
+    terms = p if isinstance(p, dict) else {k: p.coeffs[k] for k in np.flatnonzero(p.coeffs)}
+    if not terms:
+        raise ValueError("zero polynomial")
+    samples = max(65, 8 * max(terms) + 1)
+    if samples > _MAX_DISK_SAMPLES:
+        raise ValueError(f"degree {max(terms)} needs {samples} samples on the circle > {_MAX_DISK_SAMPLES}")
+    if max(terms) == 0:
         return 0
-    a = np.asarray(p.coeffs)
-    k = np.flatnonzero(a)
 
     def on_circle(t):
-        return sum(a[j] * np.exp(2j * np.pi * j * t) for j in k)
+        return sum(a * np.exp(2j * np.pi * k * t) for k, a in terms.items())
 
-    return _single(_windings(on_circle, lambda pid, t: t, [max(65, 8 * p.degree + 1)]))
+    return _single(_windings(on_circle, lambda pid, t: t, [samples]))
 
 
 def count_in_strip(sys: DelaySystem, a: int, b: int) -> int:
@@ -644,13 +650,13 @@ def _rightmost_root(sys: DelaySystem) -> Optional[complex]:
 def min_unstable_imag(sys: DelaySystem, im_cap: float) -> Optional[float]:
     """Smallest |Im lam| over roots with Re lam >= 0 up to ``im_cap``, or None,
     by the strip scan of :func:`_first_unstable_root`."""
-    lam, _ = _first_unstable_root(sys, im_cap)
+    lam, _ = _first_unstable_root(sys, im_cap, -1e-8)
     return None if lam is None else abs(lam.imag)
 
 
-def _first_unstable_root(sys: DelaySystem, height: float) -> tuple:
-    """``(lam, top)``: the root with Re lam >= -1e-8 and the least Im lam in
-    [0, top), or None, and the height ``top`` scanned: ``height``, or
+def _first_unstable_root(sys: DelaySystem, height: float, floor: float) -> tuple:
+    """``(lam, top)``: the root with Re lam >= ``floor`` and the least Im lam
+    in [0, top), or None, and the height ``top`` scanned: ``height``, or
     pi (n + 1/2) for tau = m/n if lower, as the roots repeat every 2 pi n in
     Im and come in conjugate pairs (a negative real zero of the disk
     polynomial puts roots on Im = pi n).
@@ -661,7 +667,8 @@ def _first_unstable_root(sys: DelaySystem, height: float) -> tuple:
     most ``_MAX_PHASE`` in all, so memory does not grow with the height.  A
     taller box with a root or a contact is scanned again in boxes of 1/8
     its height; a base-step one goes to :func:`_isolate` (after
-    :func:`_winding_with_retries` on a contact).
+    :func:`_winding_with_retries` on a contact); the scan goes on past a
+    box whose roots all lie below ``floor``.
     """
     reb = re_bound(sys)
     func = char_expsum(sys)
@@ -682,7 +689,7 @@ def _first_unstable_root(sys: DelaySystem, height: float) -> tuple:
             else:
                 rect = ComplexRect(*box[i])
                 w, rect = _winding_with_retries(func, rect) if i in lost else (kk[i], rect)
-                cands = [r.lam for r in _isolate(func, func.derivative(), rect, w, _MAX_DEPTH) if r.lam.real >= -1e-8]
+                cands = [r.lam for r in _isolate(func, func.derivative(), rect, w, _MAX_DEPTH) if r.lam.real >= floor]
                 lam = min(cands, key=lambda z: abs(z.imag), default=None)
             if lam is not None:
                 return lam

@@ -139,10 +139,6 @@ class SimConfig:
     def dt(self) -> float:
         return 1.0 / self.wave_cells
 
-    @property
-    def tau(self) -> float:
-        return self.tau_rational.value
-
 
 @dataclass
 class SimState:

@@ -27,6 +27,7 @@ __all__ = [
     "DiskRootReport",
     "StabilityState",
     "PolyStability",
+    "disk_terms",
     "reduce_to_polynomial",
     "disk_roots",
     "jury_matrices",
@@ -72,9 +73,6 @@ class PolyReal:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z):
-        return np.polyval(self.coeffs[::-1], z)
-
     def derivative_coeffs(self) -> np.ndarray:
         a = np.asarray(self.coeffs)
         return a[1:] * np.arange(1, a.size)
@@ -109,6 +107,14 @@ def reduce_to_polynomial(sys: DelaySystem) -> PolyReal:
     a[2 * n] += 1.0
     a[m + 2 * n] += c1 - c2
     return PolyReal.from_coeffs(a)
+
+
+def disk_terms(sys: DelaySystem) -> dict:
+    """The nonzero terms {k: a_k} of :func:`reduce_to_polynomial`, with no dense array."""
+    m, n = sys.tau_rational.num, sys.tau_rational.den
+    terms = {0: 1.0, m: sys.c1 + sys.c2, m + 2 * n: sys.c1 - sys.c2}
+    terms[2 * n] = terms.get(2 * n, 0.0) + 1.0
+    return {k: terms[k] for k in sorted(terms) if terms[k]}
 
 
 def disk_roots(p: PolyReal) -> DiskRootReport:

@@ -7,18 +7,19 @@ jump.  This module enumerates those critical sets, gives the sign of the
 root-modulus (or real-part) derivative across them, and assembles the
 closed-form stability regions together with the master classifier.
 
-Each disk question has one oracle, chosen by the gains: c1 = c2 (equal
-gains) and c1 = 0 (direct feedback) are one-gain loops whatever the tag.
-For them :func:`crossing_state` counts the zeros inside the unit disk
-exactly from the sign changes of Im z^{-n} P on the circle, which sit at
-rational multiples of pi, off a table of crossing gains, their circle
-angles and one winding per gap: no roots and no degree cap.  The gains are
-the endpoints of :func:`region_boundaries_bisect`, the count the state of
-:func:`classify` and `delaywave region --scan`, and the exact circle zero a
-MARGINAL witness and the start of :func:`unit_circle_continuation`.  The
-companion roots (read by ``contour._rightmost_root``, and capped here at
-degree ``_MAX_REDUCED_DEGREE``) give only an UNSTABLE witness and the
-verdict of two gains.
+Every state is a count of the zeros in the unit disk, chosen by the gains:
+c1 = c2 (equal gains) and c1 = 0 (direct feedback) are one-gain loops
+whatever the tag.  For them :func:`crossing_state` counts exactly from the
+sign changes of Im z^{-n} P on the circle, which sit at rational multiples
+of pi, off a table of crossing gains, their circle angles and one winding
+per gap: no roots and no degree cap.  The gains are the endpoints of
+:func:`region_boundaries_bisect`, the count the state of :func:`classify`
+and `delaywave region --scan`, and the exact circle zero a MARGINAL witness
+and the start of :func:`unit_circle_continuation`.  Two gains are counted by
+winding (``contour.count_in_disk``), a root within 1e-9 of the axis as on
+it.  Any other witness is a companion root (``contour._rightmost_root``) up
+to a crossover degree and the strip scan's root beyond it; neither decides
+a state.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .chareq import (
     g_expsum,
     rational_from_float,
 )
-from .contour import _first_unstable_root, _newton, _rightmost_root
-from .polyform import _ON_CIRCLE_TOL, StabilityState
+from .contour import _first_unstable_root, _newton, _rightmost_root, count_in_disk
+from .polyform import _ON_CIRCLE_TOL, StabilityState, disk_terms
 
 __all__ = [
     "CriticalSet",
@@ -70,8 +71,9 @@ __all__ = [
     "region_boundaries_bisect",
 ]
 
-# classify refuses a companion solve beyond this reduced degree (its cost)
-_MAX_REDUCED_DEGREE = 2500
+# classify takes an UNSTABLE witness from the companion solve while m + 2n is at most
+# this plus tau/2, else from the strip scan: their costs grow with m + 2n and tau
+_WITNESS_CROSSOVER = 81
 
 # a gain c within _CROSSING_ETA * max(1, |c|) of a crossing gain c_k puts a zero on
 # the circle: rounding slack on the c_k, which are exact to a few ulp.
@@ -510,20 +512,26 @@ def _rational_system(sys: DelaySystem) -> DelaySystem:
 def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVerdict:
     """Three-way stability verdict with an explicit unstable/marginal witness.
 
-    The gains pick the analysis, the tag only the function a witness is
-    polished on.  A rational one-gain loop (c1 = c2, or c1 = 0) takes its
-    state from :func:`crossing_state`, a MARGINAL witness from the exact
-    circle zero and an UNSTABLE one from ``contour._rightmost_root`` (lam =
-    -n log z of the companion root z of least modulus, Newton-polished).
-    Two gains take state and witness from that root, MARGINAL when
-    |z| = e^{-Re lam / n} is within ``_ON_CIRCLE_TOL`` of 1.  A companion
-    solve beyond degree ``_MAX_REDUCED_DEGREE`` is refused.  With
-    ``treat_as_irrational`` the verdict is UNSTABLE, as the two-delay
-    criterion (:func:`hale_two_delay`) fails at every finite gain (its
-    1 + a1 > |a2 + a3| reads 0 > |a2 + a3|), and the witness is the
-    lowest-frequency root with Re lam >= -1e-8 that the strip scan of
-    :func:`min_unstable_imag` finds up to 64 pi above 2 C1/|eps|, with C1
-    from :func:`exclusion_constant` for equal gains at eps from a delay
+    The state is a count of the zeros of the disk polynomial P of tau = m/n,
+    chosen by the gains (the tag picks only the function a witness is
+    polished on): :func:`crossing_state` for c1 = c2 or c1 = 0, else two
+    windings of ``contour.count_in_disk``, on P(r z) at r = e^{-+tol/n}
+    with tol = ``_ON_CIRCLE_TOL``: zeros inside the inner circle (roots
+    with Re lam > tol) make the loop UNSTABLE, zeros only between the two
+    (|Re lam| <= tol) MARGINAL.  The witness of a one-gain MARGINAL loop is
+    its exact circle zero; that of an UNSTABLE loop of reduced degree
+    m + 2n up to ``_WITNESS_CROSSOVER`` + tau/2 is
+    ``contour._rightmost_root`` (lam = -n log z of the companion root z of
+    least modulus, polished).  Any other is the lowest-frequency root of
+    the strip scan ``contour._first_unstable_root``, not always the
+    rightmost (``spectral_abscissa`` is): Re lam >= -1e-8 when MARGINAL, and
+    when UNSTABLE >= 0, or >= tol/2 past the axis roots of a zero the count
+    saw on the circle.  A scan that finds none raises
+    :class:`WitnessSearchExhausted`.  With ``treat_as_irrational`` the
+    verdict is UNSTABLE, as the two-delay criterion (:func:`hale_two_delay`)
+    fails at every finite gain (its 1 + a1 > |a2 + a3| reads 0 > |a2 + a3|),
+    and the witness is the scan's root up to 64 pi above 2 C1/|eps|, with
+    C1 from :func:`exclusion_constant` for equal gains at eps from a delay
     they stabilise (at base 0 a root lies below 2 C1/|eps| + 2 pi), else 0.
     """
     equal = sys.c1 == sys.c2
@@ -531,30 +539,34 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
         base = 2 * round(sys.tau / 2)
         C1 = exclusion_constant(base, sys.c2) if equal else None
         low = C1 / abs(sys.tau - base) if C1 and sys.tau != base else 0.0
-        lam, top = _first_unstable_root(sys, 2 * low + 64 * np.pi)
+        lam, top = _first_unstable_root(sys, 2 * low + 64 * np.pi, -1e-8)
         if lam is None:
             raise WitnessSearchExhausted(f"no unstable root with |Im lam| below {top:.6g}")
         return StabilityVerdict(StabilityState.UNSTABLE, lam)
     rsys = _rational_system(sys)
     m, n = rsys.tau_rational.num, rsys.tau_rational.den
-    one_gain = equal or sys.c1 == 0.0
-    if one_gain:
-        table = CharKind.CASCADE_EQUAL_GAINS if equal else CharKind.DIRECT_DELAY_FEEDBACK
-        inside, theta = _crossings(table, m, n, rsys.c2)
-        if not inside:
-            # the exact circle zero e^{i theta}: lam = -n log z = -i n theta
-            lam = None if theta is None else _newton(char_expsum(rsys).with_slope, complex(0.0, -n * theta), 4)
-            return StabilityVerdict(StabilityState.STABLE if lam is None else StabilityState.MARGINAL, lam)
-    if m + 2 * n > _MAX_REDUCED_DEGREE:
-        raise ValueError(f"reduced degree {m + 2 * n} exceeds {_MAX_REDUCED_DEGREE}; "
-                         "use a coarser rational delay or the irrational path")
-    lam = _rightmost_root(rsys)
-    r = math.exp(-lam.real / n)
-    if not one_gain and abs(r - 1.0) < _ON_CIRCLE_TOL:
-        return StabilityVerdict(StabilityState.MARGINAL, lam)
-    if one_gain or r < 1.0:
-        return StabilityVerdict(StabilityState.UNSTABLE, lam)
-    return StabilityVerdict(StabilityState.STABLE, None)
+    theta = None
+    if equal or sys.c1 == 0.0:
+        inside, theta = _crossings(CharKind.CASCADE_EQUAL_GAINS if equal else CharKind.DIRECT_DELAY_FEEDBACK, m, n, rsys.c2)
+        on = theta is not None
+    else:
+        # zeros of P(r z) in the disk at r = e^{-+tol/n}: the roots lam = -n log z with Re lam > +-tol
+        radii = (math.exp(-_ON_CIRCLE_TOL / n), math.exp(_ON_CIRCLE_TOL / n))
+        inside, within = (count_in_disk({k: a * r**k for k, a in disk_terms(rsys).items()}) for r in radii)
+        on = within > inside
+    if not (inside or on):
+        return StabilityVerdict(StabilityState.STABLE, None)
+    if not inside and theta is not None:
+        # the exact circle zero e^{i theta}: lam = -n log z = -i n theta
+        lam = _newton(char_expsum(rsys).with_slope, complex(0.0, -n * theta), 4)
+    elif inside and m + 2 * n <= _WITNESS_CROSSOVER + m / (2 * n):
+        lam = _rightmost_root(rsys)
+    else:
+        # an UNSTABLE witness clears the roots on the axis, there only if the count saw one
+        lam = _first_unstable_root(rsys, math.inf, -1e-8 if not inside else _ON_CIRCLE_TOL / 2 if on else 0.0)[0]
+        if lam is None:
+            raise WitnessSearchExhausted(f"the disk polynomial of {m}/{n} has a zero the strip scan did not find")
+    return StabilityVerdict(StabilityState.UNSTABLE if inside else StabilityState.MARGINAL, lam)
 
 
 def region_boundaries_bisect(

@@ -95,6 +95,17 @@ class TestRegion:
         code, _, err = run(capsys, "region", "--tau", "2/1", "--scan", "oops")
         assert code == 1 and "usage error" in err
 
+    def test_irrational_scan_of_a_decimal_delay(self, capsys):
+        code, out, _ = run(capsys, "region", "--tau-real", "2.001", "--treat-as-irrational", "--scan=-0.6:-0.4:0.1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bisected"] is None
+        assert [row["state"] for row in payload["scan"]] == ["unstable"] * 3
+
+    def test_empty_window_csv(self, capsys):
+        code, out, _ = run(capsys, "region", "--tau", "3/2", "--format", "csv")
+        assert code == 0 and out.splitlines()[1] == "true,,,,"
+
 
 # ---------------------------------------------------------------- roots / count
 
@@ -356,6 +367,10 @@ class TestBadInput:
             ("critical", "--m", "4", "--n", "2"),
             ("region", "--tau-real", "3.141592653589793"),
             ("region", "--tau-real", "3.141592653589793", "--scan=0:0.1:0.1"),
+            ("region", "--tau", "2/1", "--treat-as-irrational"),
+            ("region", "--tau", "2/1", "--treat-as-irrational", "--scan=-0.6:-0.4:0.1"),
+            ("count", "--tau-real", "3.14159265358979", "--c", "0.5", "--disk"),
+            ("roots", "--tau-real", "2.5", "--treat-as-irrational", "--c1", "0", "--c2", "0", "--rect", "-1", "1", "0", "1"),
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -561,9 +562,12 @@ class TestBisectionAtHighDegree:
         assert time.perf_counter() - t0 < 5.0
 
     def test_beyond_classify_degree_cap(self):
-        # degree 2501 > _MAX_REDUCED_DEGREE: classify refuses, the bisection does not
-        with pytest.raises(ValueError):
-            classify(equal_gain_system(0.1, 1251 / 625, Rational(1251, 625)))
+        # degree 2501, which classify once refused: a certified UNSTABLE verdict
+        s = equal_gain_system(0.1, 1251 / 625, Rational(1251, 625))
+        v = classify(s)
+        f = char_expsum(s)
+        assert v.state is StabilityState.UNSTABLE and v.witness.real > 0
+        assert abs(complex(f(v.witness))) < 1e-10 * float(f.magnitude(v.witness))
         assert region_boundaries_bisect(1251 / 625, CharKind.CASCADE_EQUAL_GAINS) is None
 
     def test_no_rational_form_still_refused(self):
@@ -806,3 +810,120 @@ class TestGainsPickTheAnalysis:
                         assert spectral_abscissa(s) == v.witness.real, (m, n, s.gains)
                         checked += 1
         assert checked > 50
+
+
+class TestCountThenWitness:
+    """Every rational verdict is a count of the zeros in the disk; the witness
+    comes after it, from the companion solve or the strip scan."""
+
+    relative_residual = staticmethod(TestGainsPickTheAnalysis.relative_residual)
+    GAIN = st.integers(-1500, 1500).map(lambda k: k / 1000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 99).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 200 - 2 * n))), GAIN, GAIN)
+    def test_two_gain_state_agrees_with_the_companion(self, nm, c1, c2):
+        n, m = nm
+        assume(math.gcd(m, n) == 1 and c1 != c2 and c1 != 0.0)
+        s = DelaySystem(DelayGains(c1, c2), m / n, Rational(m, n))
+        ps = stability_from_poly(reduce_to_polynomial(s))
+        # away from the circle, where the 1e-9 band decides nothing
+        assume(min(abs(abs(z) - 1.0) for z in ps.report.roots) > 1e-6)
+        event(ps.state.name)
+        v = classify(s)
+        assert v.state is ps.state, (m, n, c1, c2)
+        if v.witness is not None:
+            assert v.witness.real > 0 and self.relative_residual(s, v.witness) < 1e-10
+
+    def test_tiny_two_gains_are_marginal(self):
+        # P = -2e-20 z^5 + z^4 + 4e-20 z + 1: four zeros within 1e-20 of the
+        # circle, which the companion solve misplaces
+        s = DelaySystem(DelayGains(1e-20, 3e-20), 0.5, Rational(1, 2))
+        v = classify(s)
+        assert v.state is StabilityState.MARGINAL
+        assert abs(v.witness.real) < 1e-9 and self.relative_residual(s, v.witness) < 1e-10
+
+    def test_unstable_witness_clears_the_axis_roots(self):
+        # P = (1 + 1.5 z^3)(1 + z^140): circle zeros from lam = 1.5708i up lie below
+        # the unstable roots, which all have Re lam = 70 log(1.5) / 3
+        s = DelaySystem(DelayGains(1.5, 0.0), 3 / 70, Rational(3, 70))
+        v = classify(s)
+        assert v.state is StabilityState.UNSTABLE
+        assert v.witness.real == pytest.approx(70 * math.log(1.5) / 3)
+        assert self.relative_residual(s, v.witness) < 1e-10
+
+    @pytest.mark.parametrize("kind", [CharKind.CASCADE_EQUAL_GAINS, CharKind.DIRECT_DELAY_FEEDBACK])
+    def test_unstable_witness_just_outside_a_window(self, kind):
+        # degree 202 and 402, beyond the crossover: 3e-12 past either edge of the
+        # window a zero lies inside the disk by about 1e-12, and no zero on the circle
+        tau = Rational(200, 1) if kind is CharKind.CASCADE_EQUAL_GAINS else Rational(400, 1)
+        make = equal_gain_system if kind is CharKind.CASCADE_EQUAL_GAINS else direct_feedback_system
+        lo, hi = region_boundaries_bisect(tau.value, kind, tau_rational=tau)
+        for c in (lo - 3e-12, hi + 3e-12):
+            s = make(c, tau.value, tau)
+            v = classify(s)
+            assert v.state is StabilityState.UNSTABLE
+            assert v.witness.real > 0 and self.relative_residual(s, v.witness) < 1e-10
+
+    @pytest.mark.parametrize(
+        "gap, state",
+        [
+            (2e-10, StabilityState.MARGINAL),
+            (5e-10, StabilityState.STABLE),
+            (-5e-10, StabilityState.UNSTABLE),
+            (-2e-10, StabilityState.MARGINAL),
+        ],
+    )
+    def test_the_two_gain_band_is_in_re_lam(self, gap, state):
+        # P = 1 + s z + z^6 + 0.8 z^7 at tau = 1/3, with a zero at z = -(1 + gap) and
+        # the others beyond |z| = 1.03: its root lam = -3 log z has Re lam = -3 gap,
+        # on the axis when within 1e-9 of it
+        rho, d = 1 + gap, 0.8
+        s_ = (1 + rho**6 - d * rho**7) / rho
+        s = DelaySystem(DelayGains((s_ + d) / 2, (s_ - d) / 2), 1 / 3, Rational(1, 3))
+        v = classify(s)
+        assert v.state is state
+        if v.witness is not None:
+            assert v.witness.real == pytest.approx(-3 * gap, rel=1e-3)
+            assert self.relative_residual(s, v.witness) < 1e-10
+
+    @pytest.mark.parametrize("gains", [(-0.5, -0.5), (0.9, 0.9), (0.0, -0.4), (-0.3, 0.1)])
+    def test_every_kind_at_degree_40001(self, gains):
+        s = DelaySystem(DelayGains(*gains), 20001 / 10000, Rational(20001, 10000))
+        v = classify(s)
+        assert v.state is StabilityState.UNSTABLE
+        assert v.witness.real > 0 and self.relative_residual(s, v.witness) < 1e-10
+
+    def test_cascade_at_degree_1002_is_fast(self):
+        s = DelaySystem(DelayGains(-0.3, 0.1), 1000.0, Rational(1000, 1))
+        t0 = time.perf_counter()
+        v = classify(s)
+        assert time.perf_counter() - t0 < 0.5
+        assert v.state is StabilityState.UNSTABLE and self.relative_residual(s, v.witness) < 1e-10
+
+    def test_count_beyond_its_sample_budget_is_refused_at_once(self):
+        s = DelaySystem(DelayGains(-0.3, 0.1), 1999999 / 1000000, Rational(1999999, 1000000))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="samples"):
+                classify(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        # the dense polynomial alone would take 32 MB
+        assert peak < 1e6
+
+    def test_a_zero_the_scan_misses_is_a_fault(self, monkeypatch):
+        # degree 121, above the crossover: the witness must come from the scan
+        s = DelaySystem(DelayGains(-0.3, 0.1), 61 / 30, Rational(61, 30))
+        assert 61 + 60 > regions._WITNESS_CROSSOVER + 61 / 60
+        monkeypatch.setattr(regions, "_first_unstable_root", lambda sys, height, floor: (None, height))
+        with pytest.raises(regions.WitnessSearchExhausted):
+            classify(s)
+
+    def test_delay_without_its_fraction_is_reduced(self):
+        gains = DelayGains(-0.3, 0.1)
+        v = classify(DelaySystem(gains, 2.0))
+        assert v == classify(DelaySystem(gains, 2.0, Rational(2, 1)))
+        assert v.state is StabilityState.UNSTABLE
