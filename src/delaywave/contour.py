@@ -18,12 +18,13 @@ and retried under one policy, ``_winding_with_retries``.  Every rectangle
 winding of an :class:`ExpSum` takes its initial density from one place,
 ``_sample_hint``, which also refuses a side beyond the phase budget.
 
-Root isolation bisects level by level: the halves of every box of a level
-are wound in one batch.  One strip scan answers every question about the
-lowest unstable root, clearance below a height included: boxes up the
-right half-plane from 0 are wound in batches that grow, within the phase
-budget, while they come back empty; a tall box with a root is scanned
-again in shorter boxes, and the first short one with a root is isolated.
+Root isolation splits level by level: a box of winding k is cut into
+max(2, k) slabs, and the slabs of every box of a level are wound in one
+batch.  One strip scan answers every question about the lowest unstable
+root, clearance below a height included: boxes up the right half-plane
+from 0 are wound in batches that grow, within the phase budget, while they
+come back empty; a tall box with a root is scanned again in shorter
+boxes, and the first short one with a root is isolated.
 
 Double roots are certified structurally rather than by ever-finer bisection:
 principal-value tracking cannot see the full 2*pi swing of a quadratic dip
@@ -64,7 +65,7 @@ NO_ROOTS = float("-inf")
 
 # a sample of |func| below this on a contour is a contact with a zero
 _ZERO_TOL = 1e-12
-# bisection depth cap of root isolation
+# depth cap of the splitting of root isolation
 _MAX_DEPTH = 60
 # a rectangle side along which the fastest ExpSum term turns its phase by more
 # than this is refused (a batch of the strip scan turns it by no more in all):
@@ -80,7 +81,7 @@ class OnContourZero(ArithmeticError):
 
 
 class MaxDepthExceeded(ArithmeticError):
-    """Rectangle bisection exceeded its depth cap (root cluster or contact)."""
+    """Rectangle splitting exceeded its depth cap (root cluster or contact)."""
 
 
 class MultiplicityCapExceeded(ArithmeticError):
@@ -495,9 +496,9 @@ def isolate_and_refine(
 ) -> List[RootRecord]:
     """Locate every characteristic root of ``sys`` inside ``rect``.
 
-    Rectangles are bisected, one level at a time, until each piece holds
-    winding <= 1 (or a certified double root); Newton finishes the job in
-    each piece that holds a root.  A root is accepted when
+    Rectangles are split into slabs, one level at a time, until each piece
+    holds winding <= 1 (or a certified double root); Newton finishes the
+    job in each piece that holds a root.  A root is accepted when
     |f| < 1e-10 * max(1, sum_j |coef_j e^{rate_j lam}|), a backward
     error; its record keeps the absolute |f|.  Multiplicity 2 is
     assigned by refining the zero of the derivative and checking that the
@@ -558,15 +559,15 @@ def _root_in(func, dfunc, rect, k) -> Optional[RootRecord]:
 
 
 def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
-    """The roots in ``rect`` (winding ``k``), by bisection level by level.
+    """The roots in ``rect`` (winding ``k``), by splitting level by level.
 
     Each round first tries :func:`_root_in` on every new box, keeping the
     root it certifies only if the box holds it, so that a double root is
-    reported once, then winds both halves of every box that must split in
-    one batched pass.  A split whose halves touch a root, or whose counts do
-    not add up to the box's, is retried at the next fraction of
-    ``_SPLIT_FRACS`` in the next batch.  The first failure met, in level
-    order with the lower half first, is raised.
+    reported once, then winds the slabs (see :func:`_slabs`) of every box
+    that must split in one batched pass.  A split whose slabs touch a root,
+    or whose counts do not add up to the box's, is retried at the next
+    fraction of ``_SPLIT_FRACS`` in the next batch.  The first failure met,
+    in level order with the lowest slab first, is raised.
     """
     out: List[RootRecord] = []
     boxes = [(rect, k, 0)] if k else []  # (box, winding, depth)
@@ -589,19 +590,15 @@ def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
         boxes = []
         if not splits:
             continue
-        halves, cut, mid = _halves(splits)
-        span = np.maximum(halves[:, 1] - halves[:, 0], halves[:, 3] - halves[:, 2])
-        kk, lost = _rect_windings(func, halves, _sample_hint(func, span))
-        retry = []
-        for i, (rect, k, depth, frac) in enumerate(splits):
-            if 2 * i not in lost and 2 * i + 1 not in lost and kk[2 * i] + kk[2 * i + 1] == k:
-                for h in (0, 1):
-                    if kk[2 * i + h]:
-                        # the cut replaces the upper bound of the lower half
-                        # and the lower bound of the upper half
-                        b = [rect.re_min, rect.re_max, rect.im_min, rect.im_max]
-                        b[cut[i] + 1 - h] = mid[i]
-                        boxes.append((ComplexRect(*b), kk[2 * i + h], depth + 1))
+        slabs = _slabs(splits)
+        span = np.maximum(slabs[:, 1] - slabs[:, 0], slabs[:, 3] - slabs[:, 2])
+        kk, lost = _rect_windings(func, slabs, _sample_hint(func, span))
+        slabs, retry, at = slabs.tolist(), [], 0
+        for rect, k, depth, frac in splits:
+            mine = range(at, at + max(2, k))
+            at = mine.stop
+            if not lost.keys() & mine and sum(kk[i] for i in mine) == k:
+                boxes += [(ComplexRect(*slabs[i]), kk[i], depth + 1) for i in mine if kk[i]]
             elif frac + 1 < len(_SPLIT_FRACS):
                 retry.append((rect, k, depth, frac + 1))
             else:
@@ -610,20 +607,26 @@ def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
     return out
 
 
-def _halves(splits):
-    """The two halves of every split, cut across the box's longer side at
-    its fraction of ``_SPLIT_FRACS``: their bounds (re_min, re_max, im_min,
-    im_max), lower half first, and per split the column of the lower bound
-    of the cut side (0 or 2) and the cut."""
-    box = np.array([(r.re_min, r.re_max, r.im_min, r.im_max) for r, *_ in splits])
+def _slabs(splits):
+    """The bounds (re_min, re_max, im_min, im_max) of the slabs of every
+    split, lowest first: a box of winding k is cut across its longer side
+    into p = max(2, k) slabs, at (i - 1 + 2 frac) / p of that side for
+    i = 1 .. p - 1, where frac is the split's fraction of ``_SPLIT_FRACS``;
+    at p = 2 the one cut is at frac."""
+    box = np.array([(r.re_min, r.re_max, r.im_min, r.im_max) for r, *_ in splits], dtype=float)
+    p = np.array([max(2, s[1]) for s in splits])
     frac = np.array([_SPLIT_FRACS[s[3]] for s in splits])
-    rows = np.arange(len(splits))
-    cut = np.where(box[:, 1] - box[:, 0] >= box[:, 3] - box[:, 2], 0, 2)
-    mid = box[rows, cut] + frac * (box[rows, cut + 1] - box[rows, cut])
-    halves = np.repeat(box, 2, axis=0)
-    halves[2 * rows, cut + 1] = mid
-    halves[2 * rows + 1, cut] = mid
-    return halves, cut.tolist(), mid.tolist()
+    row = np.arange(len(splits)).repeat(p)
+    i = np.arange(row.size) - (p.cumsum() - p).repeat(p)
+    slabs = box[row]
+    c = np.where(slabs[:, 1] - slabs[:, 0] >= slabs[:, 3] - slabs[:, 2], 0, 2)
+    lo, hi = box[row, c], box[row, c + 1]
+    # the lower bound of slab i > 0, and the upper bound of the slab below it
+    edge = lo + (i - 1 + 2 * frac[row]) / p[row] * (hi - lo)
+    up = np.flatnonzero(i > 0)
+    slabs[up, c[up]] = edge[up]
+    slabs[up - 1, c[up] + 1] = edge[up]
+    return slabs
 
 
 def spectral_abscissa(sys: DelaySystem) -> float:

@@ -217,11 +217,9 @@ class TestCount:
         assert int(out.getvalue()) == count_in_disk(p)
 
     def test_disk_needs_rational(self, capsys):
-        code, _, err = run(
-            capsys, "count", "--tau-real", "3.14159265358979", "--treat-as-irrational",
-            "--c", "0.5", "--disk",
-        )
+        code, _, err = run(capsys, "count", "--tau-real", "3.14159265358979", "--c", "0.5", "--disk")
         assert code == 1
+        assert "--disk needs a rational delay" in err
 
 
 # ---------------------------------------------------------------- sweep / simulate / critical

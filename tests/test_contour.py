@@ -541,10 +541,9 @@ class TestIsolate:
         far = 700.0 + 1.0j
         assert abs(complex(f(far))) / float(f.magnitude(far)) <= 1.0 + 1e-12
 
-    def test_array_calls_per_portrait(self, monkeypatch):
-        # three root periods of the 2/1 equal-gain loop: the halves of every
-        # box of a bisection level are wound in one batch.  Winding one box
-        # at a time took 65 array calls for the same 4,199 points.
+    @staticmethod
+    def _array_calls(monkeypatch):
+        """The sizes of the array calls of every ExpSum from now on."""
         calls = []
         plain = ExpSum.__call__
 
@@ -554,17 +553,49 @@ class TestIsolate:
             return plain(self, lam)
 
         monkeypatch.setattr(ExpSum, "__call__", counted)
+        return calls
+
+    def test_array_calls_per_portrait(self, monkeypatch):
+        # three root periods of the 2/1 equal-gain loop: the slabs of every
+        # box of a level are wound in one batch.  Winding one box at a time
+        # took 65 array calls, and halving every box 14 calls, for 4,199 points.
+        calls = self._array_calls(monkeypatch)
         s = equal_sys(2, 1, 0.1)
         roots = isolate_and_refine(s, ComplexRect(-2.0, 0.5, 0.3, 0.3 + 6 * math.pi))
         assert len(roots) == 6
-        assert len(calls) <= 14
+        assert len(calls) <= 9
+        assert sum(calls) <= 4199
+
+    def test_array_calls_per_cascade_rectangle(self, monkeypatch):
+        # 223 roots of the 3/2 cascade: the first level cuts the box into
+        # 223 slabs of one root each.  Halving every box took 61 array calls
+        # for 158,605 points.
+        m, n = 3, 2
+        s = DelaySystem(DelayGains(-0.3, 0.2), m / n, Rational(m, n))
+        rect = ComplexRect(-3.0, 1.0, -200.0, 200.0)
+        calls = self._array_calls(monkeypatch)
+        roots = isolate_and_refine(s, rect)
+        assert len(calls) <= 8
+        expected = [
+            -n * (np.log(abs(z)) + 1j * (np.angle(z) + 2 * np.pi * k))
+            for z in disk_roots(reduce_to_polynomial(s)).roots
+            for k in range(-17, 18)
+        ]
+        expected = [lam for lam in expected if rect.contains(lam)]
+        assert sum(r.multiplicity for r in roots) == len(expected) == 223
+        for r in roots:
+            for _ in range(r.multiplicity):
+                e = min(expected, key=lambda e: abs(r.lam - e))
+                assert abs(r.lam - e) < 1e-8
+                expected.remove(e)
 
     def test_depth_cap_raises_at_the_first_box_depth_first(self):
-        # four simple roots at Im = pi/2 + k pi: both halves of the first
-        # split hold two roots and reach the cap; the lower half comes first
-        s = equal_sys(2, 1, -0.25)
-        with pytest.raises(MaxDepthExceeded, match=r"depth 1 reached at .*im_min=0, im_max=6\.283"):
-            isolate_and_refine(s, ComplexRect(-1, 0.5, 0, 4 * math.pi), max_depth=1)
+        # four simple roots, two at Im = pi/2 and two at Im = 3 pi/2: the
+        # first level cuts four slabs, and the first and the third hold two
+        # roots each and reach the cap; the lowest one comes first
+        s = DelaySystem(DelayGains(0.5, 0.1), 2.0, Rational(2, 1))
+        with pytest.raises(MaxDepthExceeded, match=r"depth 1 reached at .*im_min=0\.3, im_max=1\.870"):
+            isolate_and_refine(s, ComplexRect(-1.0, 0.5, 0.3, 0.3 + 2 * math.pi), max_depth=1)
 
     def test_neighbour_root_not_taken_twice(self):
         # Newton from one box's centre converges to a root just outside it;
@@ -629,10 +660,15 @@ class TestIsolationVsPolynomialMap:
                 period - 1e-4,
             )
             roots = isolate_and_refine(s, rect)
-            got = sorted((r.lam.imag, r.lam.real) for r in roots for _ in range(r.multiplicity))
+            got = [r.lam for r in roots for _ in range(r.multiplicity)]
             assert len(got) == len(expected), (m, n, c)
-            for (gi, gr), (ei, er) in zip(got, expected):
-                assert abs(gi - ei) < 1e-8 and abs(gr - er) < 1e-8, (m, n, c)
+            # each root against its nearest expected one: a sort by (Im, Re)
+            # swaps two roots whose Im differ by an ulp
+            expected = [complex(er, ei) for ei, er in expected]
+            for lam in got:
+                e = min(expected, key=lambda e: abs(lam - e))
+                assert abs(lam.imag - e.imag) < 1e-8 and abs(lam.real - e.real) < 1e-8, (m, n, c)
+                expected.remove(e)
             done += 1
 
 
