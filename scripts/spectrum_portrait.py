@@ -6,8 +6,10 @@ rational delay, e.g. to watch the root lines cross the imaginary axis:
 
     python scripts/spectrum_portrait.py --tau 2/1 --gains -1.2:0.2:0.1 --im-max 20 -o portrait.csv
 
-A gain whose roots cannot be located is reported on stderr and left out of
-the CSV; the sweep goes on and the script exits 1.
+The residual column is |char(lam)| of the cascade function that
+``delaywave.chareq.char_expsum`` gives every gain pair.  A gain whose roots
+cannot be located is reported on stderr and left out of the CSV; the sweep
+goes on and the script exits 1.
 """
 
 import argparse

@@ -8,7 +8,8 @@ closing the loop with
     u(t) = -c1 * w(1, t) - c2 * z_t(1, t)
 
 gives a cascade system whose eigenvalues are the zeros of an entire function
-of exponential type.  This module evaluates that function (in three variants),
+of exponential type.  This module evaluates that function (one formula for
+every gain pair: equal gains and direct feedback are points of the loop),
 the eigenfunctions, and the resolvent of the closed-loop generator.
 """
 
@@ -133,40 +134,30 @@ class DelayGains:
 
 
 class CharKind(Enum):
-    """Which normalisation of the characteristic function the system carries.
+    """The one-gain family a region function works on; systems carry no tag.
 
-    The tag picks only the form :func:`char_expsum` returns; the gains pick
-    the analysis (c1 = c2 or c1 = 0 is a one-gain loop whatever the tag).
-
-    CASCADE_FULL         two independent gains (c1, c2)
-    CASCADE_EQUAL_GAINS  c1 = c2 = c, cleared to exp(2*lam) + 2c*exp((2-tau)*lam) + 1
+    CASCADE_EQUAL_GAINS    c1 = c2 = c
     DIRECT_DELAY_FEEDBACK  pure delayed velocity feedback z_x(1,t) = -k z_t(1,t-tau),
-                         gain k stored in c2 with c1 = 0
+                           gain k stored in c2 with c1 = 0
     """
 
-    CASCADE_FULL = "cascade_full"
     CASCADE_EQUAL_GAINS = "cascade_equal_gains"
     DIRECT_DELAY_FEEDBACK = "direct_delay_feedback"
 
 
 @dataclass(frozen=True)
 class DelaySystem:
-    """Closed-loop system parameters: gains, delay, and function variant."""
+    """Closed-loop system parameters: gains and delay, one cascade loop for every gain pair."""
 
     gains: DelayGains
     tau: float
     tau_rational: Optional[Rational] = None
-    kind: CharKind = CharKind.CASCADE_FULL
 
     def __post_init__(self):
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
         if self.tau_rational is not None and not _reproduces(self.tau_rational, self.tau):
             raise ValueError("tau_rational does not reproduce tau to 4 ulp")
-        if self.kind is CharKind.CASCADE_EQUAL_GAINS and self.gains.c1 != self.gains.c2:
-            raise ValueError("equal-gain variant requires c1 == c2")
-        if self.kind is CharKind.DIRECT_DELAY_FEEDBACK and self.gains.c1 != 0.0:
-            raise ValueError("direct feedback stores its gain in c2 and requires c1 == 0")
 
     @property
     def c1(self) -> float:
@@ -180,13 +171,13 @@ class DelaySystem:
 def equal_gain_system(c: float, tau: float, tau_rational: Optional[Rational] = None) -> DelaySystem:
     if tau_rational is None:
         tau_rational = rational_from_float(tau)
-    return DelaySystem(DelayGains(c, c), tau, tau_rational, CharKind.CASCADE_EQUAL_GAINS)
+    return DelaySystem(DelayGains(c, c), tau, tau_rational)
 
 
 def direct_feedback_system(k: float, tau: float, tau_rational: Optional[Rational] = None) -> DelaySystem:
     if tau_rational is None:
         tau_rational = rational_from_float(tau)
-    return DelaySystem(DelayGains(0.0, k), tau, tau_rational, CharKind.DIRECT_DELAY_FEEDBACK)
+    return DelaySystem(DelayGains(0.0, k), tau, tau_rational)
 
 
 @dataclass(frozen=True)
@@ -290,15 +281,9 @@ def _end_shift(lo, hi, re):
 
 
 def char_expsum(sys: DelaySystem) -> ExpSum:
-    """Characteristic function of ``sys`` as an exponential sum."""
+    """Characteristic function of ``sys`` as an exponential sum, for every gain pair:
+    -cosh(lam)(1 + c1 e^{-tau lam}) - c2 sinh(lam) e^{-tau lam}; a zero coefficient drops its term."""
     c1, c2, tau = sys.c1, sys.c2, sys.tau
-    if sys.kind is CharKind.CASCADE_EQUAL_GAINS:
-        return ExpSum.of([(1.0, 2.0), (2.0 * c2, 2.0 - tau), (1.0, 0.0)])
-    if sys.kind is CharKind.DIRECT_DELAY_FEEDBACK:
-        # cleared form of cosh(lam) + k sinh(lam) exp(-tau lam) = 0
-        k = c2
-        return ExpSum.of([(1.0, 2.0), (1.0, 0.0), (k, 2.0 - tau), (-k, -tau)])
-    # -cosh(lam)(1 + c1 e^{-tau lam}) - c2 sinh(lam) e^{-tau lam}
     return ExpSum.of(
         [
             (-0.5, 1.0),
@@ -321,8 +306,8 @@ def eval_char(sys: DelaySystem, lam):
 def eval_g(sys: DelaySystem, lam):
     """Gain map g(lam) = -(exp(tau*lam) + exp((tau-2)*lam)) / 2.
 
-    For equal gains c1 = c2 = c, whatever the tag, eval_char(sys, lam) = 0
-    iff g(lam) = c; the equal-gain form is g - c times -2 exp((2-tau)*lam).
+    For equal gains c1 = c2 = c, eval_char(sys, lam) = 0 iff g(lam) = c:
+    g(lam) - c = exp((tau-1)*lam) eval_char(sys, lam).
     """
     if sys.c1 != sys.c2:
         raise ValueError("g is defined for equal gains c1 == c2 only")

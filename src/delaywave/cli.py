@@ -190,7 +190,7 @@ def cmd_roots(args) -> int:
         rect = contour.ComplexRect(*args.rect)
     except ValueError as exc:
         raise UsageError(f"--rect: {exc}")
-    sysd = DelaySystem(DelayGains(args.c1, args.c2), tau, rat, CharKind.CASCADE_FULL)
+    sysd = DelaySystem(DelayGains(args.c1, args.c2), tau, rat)
     roots = contour.isolate_and_refine(sysd, rect)
     rows = [(r.lam.real, r.lam.imag, r.residual, r.multiplicity) for r in roots]
     _write_csv(args.output, ["re", "im", "residual", "multiplicity"], rows)
@@ -218,7 +218,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_sweep_eps(args) -> int:
-    template = robustness.PerturbationCase(args.base, args.eps[0], args.c)
+    try:
+        template = robustness.PerturbationCase(args.base, args.eps[0], args.c)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rows = robustness.sweep(template, args.eps)
     _write_csv(
         args.output,
@@ -239,7 +242,7 @@ def cmd_simulate(args) -> int:
     _write_csv(args.output, ["t", "E"], list(trace.samples))
     if args.dump_state:
         _write_json(args.dump_state, pdesim.state_dict(trace.final_state))
-    sysd = DelaySystem(DelayGains(args.c1, args.c2), rat.value, rat, CharKind.CASCADE_FULL)
+    sysd = DelaySystem(DelayGains(args.c1, args.c2), rat.value, rat)
     s_abs = contour.spectral_abscissa(sysd)
     two_s = None if s_abs == contour.NO_ROOTS else 2.0 * s_abs
     t0, t1 = pdesim.default_fit_window(two_s or 0.0, args.T)

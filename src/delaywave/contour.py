@@ -238,7 +238,10 @@ def _windings(func, path, n):
     until two consecutive rounds agree, 8 rounds at most.  A doubling round
     keeps a path's n uniform samples and evaluates only the n - 1 midpoints
     between them.  Every round samples, and every tracking pass cuts, all
-    paths still open in one ``func`` call.
+    paths still open in one ``func`` call.  An :class:`ExpSum` is tracked
+    divided by the size of its terms (at least 1), a positive factor: far
+    from the imaginary axis rounding leaves |func| on a zero above an
+    absolute ``_ZERO_TOL``, but never above it relative to that size.
 
     Returns ``(k, why)``: ``why`` maps each path that touched a zero, did
     not settle, gave a non-integer count or did not stabilise to the
@@ -246,6 +249,9 @@ def _windings(func, path, n):
     of every other path.  One path's failure leaves the others' counts as
     they are.
     """
+    if isinstance(func, ExpSum):
+        es = func
+        func = lambda z: es(z) / np.maximum(es.magnitude(z), 1.0)
     n = np.asarray(n)
     k, why, k_prev = [0] * n.size, {}, {}
     live = range(n.size)
@@ -332,7 +338,8 @@ def winding_rect(
     under sample doubling; an :class:`ExpSum` starts from at least
     :func:`expsum_sample_hint`, as coarser rounds can agree on an alias.
     Raises :class:`OnContourZero` when a sample of |func| drops below
-    ``_ZERO_TOL``; the caller should perturb the rectangle and retry.  An
+    ``_ZERO_TOL``, for an :class:`ExpSum` times the size of its terms there
+    (at least 1); the caller should perturb the rectangle and retry.  An
     :class:`ExpSum` whose phase turns by more than ``_MAX_PHASE`` along a
     side raises ValueError.
     """
@@ -391,7 +398,7 @@ def count_in_strip(sys: DelaySystem, a: int, b: int) -> int:
     """Number of solutions of g(lam) = c in (0, re_bound) x (a*pi, b*pi).
 
     The gains pick the analysis: any system with c1 = c2 = c is accepted,
-    whatever its tag.  ``a`` and ``b`` must be nonzero integers with a < b;
+    however it was built.  ``a`` and ``b`` must be nonzero integers with a < b;
     on the horizontal edges Im(lam) = a*pi, b*pi the map g stays off the
     real axis, so a zero of g - c there signals misuse (a = 0 or b = 0) or a
     genuine root on the imaginary axis, reported as :class:`OnContourZero`.

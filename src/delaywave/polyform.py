@@ -1,7 +1,7 @@
 """Unit-disk polynomial reduction for rational delays, root oracle, Jury test.
 
-For tau = m/n (coprime) the substitution z = exp(-lam/n) turns the cleared
-characteristic function into a real polynomial
+For tau = m/n (coprime) the substitution z = exp(-lam/n) turns the
+characteristic function times -2 exp(-lam) into a real polynomial
 
     P(z) = (c1 - c2) z^{m+2n} + z^{2n} + (c1 + c2) z^m + 1,
 

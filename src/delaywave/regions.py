@@ -7,12 +7,14 @@ jump.  This module enumerates those critical sets, gives the sign of the
 root-modulus (or real-part) derivative across them, and assembles the
 closed-form stability regions together with the master classifier.
 
-Every state is a count of the zeros in the unit disk, chosen by the gains:
-c1 = c2 (equal gains) and c1 = 0 (direct feedback) are one-gain loops
-whatever the tag.  For them :func:`crossing_state` counts exactly from the
-sign changes of Im z^{-n} P on the circle, which sit at rational multiples
-of pi, off a table of crossing gains, their circle angles and one winding
-per gap: no roots and no degree cap.  The gains are the endpoints of
+Every gain pair has one characteristic function, the cascade's
+(``chareq.char_expsum``), and every state is a count of the zeros in the
+unit disk, chosen by the gains.  c1 = c2 (equal gains) and c1 = 0 (direct
+feedback) are the one-gain loops that :class:`CharKind` names.  For them
+:func:`crossing_state` counts exactly from the sign changes of Im z^{-n} P
+on the circle, which sit at rational multiples of pi, off a table of
+crossing gains, their circle angles and one winding per gap: no roots and
+no degree cap.  The gains are the endpoints of
 :func:`region_boundaries_bisect`, the count the state of :func:`classify`
 and `delaywave region --scan`, and the exact circle zero a MARGINAL witness
 and the start of :func:`unit_circle_continuation`.  Two gains are counted by
@@ -37,7 +39,6 @@ from .chareq import (
     CharKind,
     DelaySystem,
     char_expsum,
-    direct_feedback_system,
     equal_gain_system,
     g_expsum,
     rational_from_float,
@@ -347,8 +348,6 @@ def stability_region(tau: float, kind: CharKind) -> RegionSpec:
     Every other delay (tau < 1, odd or non-integer rational, irrational)
     has an empty window.
     """
-    if kind is CharKind.CASCADE_FULL:
-        raise ValueError("closed-form regions exist for the one-gain variants only")
     t = _even_integer(tau)
     if t is None:
         return RegionSpec()
@@ -479,8 +478,6 @@ def crossing_state(kind: CharKind, m: int, n: int, c: float) -> Tuple[int, bool]
     with no roots and no degree cap.  A non-finite gain, or (m, n) that are
     not coprime positive integers, raise ValueError.
     """
-    if kind is CharKind.CASCADE_FULL:
-        raise ValueError("the crossing count covers the one-gain variants only")
     if not math.isfinite(c) or m <= 0 or n <= 0 or math.gcd(m, n) != 1:
         raise ValueError(f"need a finite gain and coprime positive m, n; got c={c}, m={m}, n={n}")
     inside, theta = _crossings(kind, m, n, c)
@@ -513,12 +510,12 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
     """Three-way stability verdict with an explicit unstable/marginal witness.
 
     The state is a count of the zeros of the disk polynomial P of tau = m/n,
-    chosen by the gains (the tag picks only the function a witness is
-    polished on): :func:`crossing_state` for c1 = c2 or c1 = 0, else two
-    windings of ``contour.count_in_disk``, on P(r z) at r = e^{-+tol/n}
-    with tol = ``_ON_CIRCLE_TOL``: zeros inside the inner circle (roots
-    with Re lam > tol) make the loop UNSTABLE, zeros only between the two
-    (|Re lam| <= tol) MARGINAL.  The witness of a one-gain MARGINAL loop is
+    chosen by the gains (a witness is polished on ``chareq.char_expsum``,
+    one formula for every gain pair): :func:`crossing_state` for c1 = c2 or
+    c1 = 0, else two windings of ``contour.count_in_disk``, on P(r z) at
+    r = e^{-+tol/n} with tol = ``_ON_CIRCLE_TOL``: zeros inside the inner
+    circle (roots with Re lam > tol) make the loop UNSTABLE, zeros only
+    between the two (|Re lam| <= tol) MARGINAL.  The witness of a one-gain MARGINAL loop is
     its exact circle zero; that of an UNSTABLE loop of reduced degree
     m + 2n up to ``_WITNESS_CROSSOVER`` + tau/2 is
     ``contour._rightmost_root`` (lam = -n log z of the companion root z of
@@ -584,11 +581,8 @@ def region_boundaries_bisect(
     no polynomial, roots, witness or degree cap.  At tau = 1 equal gains put
     a zero on the circle for |c| <= 1 and one inside beyond: no window.
     """
-    if kind is CharKind.CASCADE_FULL:
-        raise ValueError("region endpoints exist for the one-gain variants only")
-    system = equal_gain_system if kind is CharKind.CASCADE_EQUAL_GAINS else direct_feedback_system
     # tau must reduce to m/n; without one this raises as classify does
-    rat = _rational_system(system(0.0, tau, tau_rational)).tau_rational
+    rat = _rational_system(equal_gain_system(0.0, tau, tau_rational)).tau_rational
     m, n = rat.num, rat.den
     if kind is CharKind.CASCADE_EQUAL_GAINS and m == n:
         return None

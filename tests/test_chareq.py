@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaywave.chareq import (
-    CharKind,
     DelayGains,
     DelaySystem,
     NearSpectrum,
@@ -20,6 +20,7 @@ from delaywave.chareq import (
     eval_char,
     eval_g,
     fd_apply_shifted_generator,
+    g_expsum,
     rational_from_float,
     resolvent_apply,
 )
@@ -71,10 +72,6 @@ class TestDelaySystem:
         with pytest.raises(ValueError):
             DelaySystem(DelayGains(0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
-            DelaySystem(DelayGains(0.1, 0.2), 2.0, kind=CharKind.CASCADE_EQUAL_GAINS)
-        with pytest.raises(ValueError):
-            DelaySystem(DelayGains(0.1, 0.2), 2.0, kind=CharKind.DIRECT_DELAY_FEEDBACK)
-        with pytest.raises(ValueError):
             DelaySystem(DelayGains(0.0, 0.0), 2.0, tau_rational=Rational(3, 1))
 
     def test_helpers(self):
@@ -104,26 +101,24 @@ class TestEvalChar:
     @given(finite, finite, st.floats(min_value=0.1, max_value=5), finite, finite)
     def test_conjugate_symmetry(self, c1, c2, tau, re, im):
         lam = complex(re, im)
-        for kind, gains in [
-            (CharKind.CASCADE_FULL, DelayGains(c1, c2)),
-            (CharKind.CASCADE_EQUAL_GAINS, DelayGains(c1, c1)),
-            (CharKind.DIRECT_DELAY_FEEDBACK, DelayGains(0.0, c2)),
-        ]:
-            s = DelaySystem(gains, tau, kind=kind)
+        for family in _GAINS:
+            s = _system(family, c1, c2, tau)
             assert eval_char(s, np.conj(lam)) == pytest.approx(
                 np.conj(eval_char(s, lam)), abs=1e-9, rel=1e-9
             )
 
     @settings(max_examples=40, deadline=None)
-    @given(finite, st.floats(min_value=0.2, max_value=4), finite, st.floats(min_value=-8, max_value=8))
-    def test_variant_identity(self, c, tau, re, im):
-        # cleared equal-gain form = -2 e^lam * full form at c1 = c2 = c
+    @given(finite, finite, st.floats(min_value=0.2, max_value=4), finite, st.floats(min_value=-8, max_value=8))
+    def test_variant_identity(self, c, k, tau, re, im):
+        # the helpers build points of the cascade loop: the same ExpSum as
+        # the gains, valued as -cosh(lam)(1 + c1 e^{-tau lam}) - c2 sinh(lam) e^{-tau lam}
         lam = complex(re, im)
-        full = DelaySystem(DelayGains(c, c), tau)
-        eq = DelaySystem(DelayGains(c, c), tau, kind=CharKind.CASCADE_EQUAL_GAINS)
-        lhs = eval_char(eq, lam)
-        rhs = -2.0 * np.exp(lam) * eval_char(full, lam)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+        for helper, c1, c2 in ((equal_gain_system(c, tau), c, c), (direct_feedback_system(k, tau), 0.0, k)):
+            f = char_expsum(helper)
+            assert f == char_expsum(DelaySystem(DelayGains(c1, c2), tau))
+            delayed = cmath.exp(-tau * lam)
+            paper = -cmath.cosh(lam) * (1 + c1 * delayed) - c2 * cmath.sinh(lam) * delayed
+            assert abs(f(lam) - paper) <= 1e-12 * float(f.magnitude(lam))
 
     def test_overflow_guard(self):
         s = equal_gain_system(-0.25, 2.0)
@@ -142,13 +137,16 @@ class TestEvalChar:
         assert vals[0] == pytest.approx(eval_char(s, 0.0))
 
 
-def _system(kind, c1, c2, tau):
-    gains = {
-        CharKind.CASCADE_FULL: DelayGains(c1, c2),
-        CharKind.CASCADE_EQUAL_GAINS: DelayGains(c1, c1),
-        CharKind.DIRECT_DELAY_FEEDBACK: DelayGains(0.0, c2),
-    }[kind]
-    return DelaySystem(gains, tau, kind=kind)
+# the cascade loop and its two one-gain families, built from a drawn (c1, c2)
+_GAINS = {
+    "two gains": lambda c1, c2: DelayGains(c1, c2),
+    "equal gains": lambda c1, c2: DelayGains(c1, c1),
+    "direct feedback": lambda c1, c2: DelayGains(0.0, c2),
+}
+
+
+def _system(family, c1, c2, tau):
+    return DelaySystem(_GAINS[family](c1, c2), tau)
 
 
 def _vector_reference(f, lam):
@@ -175,14 +173,14 @@ _re_parts = st.one_of(finite, st.floats(100, 400), st.floats(-400, -100))
 class TestExpSumPaths:
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(list(CharKind)),
+        st.sampled_from(list(_GAINS)),
         finite,
         finite,
         st.floats(min_value=0.1, max_value=5),
         st.lists(st.tuples(_re_parts, st.floats(-60, 60)), min_size=1, max_size=6),
     )
-    def test_scalar_and_vector_agree(self, kind, c1, c2, tau, points):
-        f = char_expsum(_system(kind, c1, c2, tau))
+    def test_scalar_and_vector_agree(self, family, c1, c2, tau, points):
+        f = char_expsum(_system(family, c1, c2, tau))
         lams = np.array([complex(re, im) for re, im in points])
         vec = f(lams)
         for lam, v in zip(lams, vec):
@@ -193,41 +191,41 @@ class TestExpSumPaths:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(list(CharKind)),
+        st.sampled_from(list(_GAINS)),
         finite,
         finite,
         st.floats(min_value=0.1, max_value=5),
         st.lists(st.tuples(_re_parts, st.floats(-60, 60)), min_size=0, max_size=6),
     )
-    def test_vector_path_matches_reference(self, kind, c1, c2, tau, points):
+    def test_vector_path_matches_reference(self, family, c1, c2, tau, points):
         # the guard is skipped only where the shift would be 0 everywhere,
         # so the output is bit-identical to always computing it
-        f = char_expsum(_system(kind, c1, c2, tau))
+        f = char_expsum(_system(family, c1, c2, tau))
         lams = np.array([complex(re, im) for re, im in points], dtype=complex)
         assert np.array_equal(f(lams), _vector_reference(f, lams))
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(list(CharKind)),
+        st.sampled_from(list(_GAINS)),
         finite,
         finite,
         st.floats(min_value=0.1, max_value=5),
         st.tuples(_re_parts, st.floats(-60, 60)),
     )
-    # rates 0, 1.8, 2: the derivative drops the rate-0 end and rescales on its own
-    @example(CharKind.CASCADE_EQUAL_GAINS, 0.3, 0.3, 0.2, (-400.0, 1.0))
-    def test_with_slope_is_both_evaluations_bit_for_bit(self, kind, c1, c2, tau, point):
+    # g - c at tau = 4 has rates 0, 2, 4: the derivative drops the rate-0 end and rescales on its own
+    @example("equal gains", 0.3, 0.3, 4.0, (-400.0, 1.0))
+    def test_with_slope_is_both_evaluations_bit_for_bit(self, family, c1, c2, tau, point):
         # one set of exponentials serves f and f', also where their
         # rescalings differ (a rate-0 end term, far left or right)
-        f = char_expsum(_system(kind, c1, c2, tau))
+        f = char_expsum(_system(family, c1, c2, tau))
         lam = complex(*point)
-        for g in (f, f.derivative()):
+        for g in (f, f.derivative(), g_expsum(tau, c1)):
             got, want = g.with_slope(lam), (g(lam), g.derivative()(lam))
             assert [_bits(z) for z in got] == [_bits(z) for z in want]
 
     def test_scalar_path_under_overflow_trap(self):
-        for kind in CharKind:
-            f = char_expsum(_system(kind, 0.7, -0.4, 1.3))
+        for family in _GAINS:
+            f = char_expsum(_system(family, 0.7, -0.4, 1.3))
             with np.errstate(over="raise", invalid="raise"):
                 for lam in (800.0 + 3.0j, -800.0 + 1.0j, np.complex128(650.0 - 2.0j), np.float64(-700.0), 900):
                     v = f(lam)
@@ -251,11 +249,11 @@ class TestEvalG:
     @settings(max_examples=40, deadline=None)
     @given(finite, st.floats(min_value=0.2, max_value=4), finite, st.floats(min_value=-6, max_value=6))
     def test_g_equals_c_iff_char_zero(self, c, tau, re, im):
-        # g(lam) - c = -(1/2) e^{(tau-2) lam} * char(lam)
+        # g(lam) - c = e^{(tau-1) lam} * char(lam)
         lam = complex(re, im)
-        s = DelaySystem(DelayGains(c, c), tau, kind=CharKind.CASCADE_EQUAL_GAINS)
+        s = equal_gain_system(c, tau)
         lhs = eval_g(s, lam) - c
-        rhs = -0.5 * np.exp((tau - 2) * lam) * eval_char(s, lam)
+        rhs = np.exp((tau - 1) * lam) * eval_char(s, lam)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
     def test_kind_guard(self):

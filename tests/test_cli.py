@@ -349,6 +349,8 @@ class TestBadInput:
             ("sweep-eps", "--base", "3", "--c", "-0.3", "--eps", "0.1"),
             ("sweep-eps", "--base", "2", "--c", "-0.3", "--eps", "abc"),
             ("sweep-eps", "--base", "2", "--c", "nan", "--eps", "0.1"),
+            ("sweep-eps", "--base", "2", "--c", "0.5", "--eps", "0.01"),
+            ("sweep-eps", "--base", "0", "--c", "1", "--eps", "0"),
             ("count", "--tau", "2/1", "--c", "nan", "--disk"),
             ("roots", "--tau", "2/1", "--c1", "nan", "--c2", "0", "--rect", "-1", "1", "-1", "1"),
             ("roots", "--tau", "2/1", "--c1", "0", "--c2", "inf", "--rect", "-1", "1", "-1", "1"),

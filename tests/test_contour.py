@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from delaywave import contour
 from delaywave.chareq import (
-    CharKind,
     DelayGains,
     DelaySystem,
     ExpSum,
@@ -178,11 +177,16 @@ def _outcome(func, rect):
         return "contact"
 
 
-_KIND_SYSTEM = {
-    CharKind.CASCADE_FULL: lambda c1, c2, m, n: DelaySystem(DelayGains(c1, c2), m / n, Rational(m, n)),
-    CharKind.CASCADE_EQUAL_GAINS: lambda c1, c2, m, n: equal_sys(m, n, c1),
-    CharKind.DIRECT_DELAY_FEEDBACK: lambda c1, c2, m, n: direct_feedback_system(c2, m / n, Rational(m, n)),
+# the cascade loop and its two one-gain families, built from a drawn (c1, c2)
+_FAMILY_GAINS = {
+    "two gains": lambda c1, c2: DelayGains(c1, c2),
+    "equal gains": lambda c1, c2: DelayGains(c1, c1),
+    "direct feedback": lambda c1, c2: DelayGains(0.0, c2),
 }
+
+
+def _family_system(family, c1, c2, m, n):
+    return DelaySystem(_FAMILY_GAINS[family](c1, c2), m / n, Rational(m, n))
 
 
 def _drawn_box(data, zs, n):
@@ -216,8 +220,8 @@ def _drawn_box(data, zs, n):
 
 
 class TestTrack:
-    # f = e^{2 lam} + 1 + 2c at tau = 2, c = -0.25: simple zeros at
-    # ln(0.5)/2 + i (pi/2 + k pi)
+    # f = -e^{-lam} (e^{2 lam} + 1 + 2c) / 2 at tau = 2, c = -0.25: simple
+    # zeros at ln(0.5)/2 + i (pi/2 + k pi)
     F = char_expsum(equal_sys(2, 1, -0.25))
     RE0 = 0.5 * math.log(0.5)
 
@@ -251,18 +255,32 @@ class TestTrack:
         wb = np.array([1 + 1j, 1.0, np.nan, 1.0, 1.0, 3.0, 2 + 1j, 1.0])
         assert _chord_cut(wa, wb).tolist() == [0.5, 0.5, 0.5, 0.5, 0.5, 0.25, 0.0, 0.75]
 
+    def test_far_left_edge_through_a_root_is_a_contact(self):
+        # the left edge passes 6e-17 from the root -6.9078 - 4.7124i of two
+        # gains (0.02, 0.01) at tau = 2/3, where the terms are 1e3 in size
+        # and rounding leaves |f| at about 1e-12 on the edge: against an
+        # absolute tolerance the bisecting tracker counted 0 and the chord
+        # cuts met a contact
+        func = char_expsum(DelaySystem(DelayGains(0.02, 0.01), 2 / 3, Rational(2, 3)))
+        rect = ComplexRect(-6.907758278970137, -6.657758278970137, -5.497787143782138, -3.9269908169872414)
+        assert func.magnitude(rect.re_min) > 999
+        assert _outcome(func, rect) == "contact"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour, "_track", _bisecting_batch)
+            assert _outcome(func, rect) == "contact"
+
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(list(CharKind)),
+        st.sampled_from(list(_FAMILY_GAINS)),
         st.integers(-200, 200).map(lambda k: k / 100),
         st.integers(-200, 200).map(lambda k: k / 100),
         st.integers(1, 6),
         st.integers(1, 3),
         st.data(),
     )
-    def test_same_outcome_as_bisection(self, kind, c1, c2, m, n, data):
+    def test_same_outcome_as_bisection(self, family, c1, c2, m, n, data):
         assume(math.gcd(m, n) == 1)
-        sysd = _KIND_SYSTEM[kind](c1, c2, m, n)
+        sysd = _family_system(family, c1, c2, m, n)
         func = char_expsum(sysd)
         p = reduce_to_polynomial(sysd)
         zs = [z for z in disk_roots(p).roots if z != 0] if p.degree > 0 else []
@@ -271,25 +289,25 @@ class TestTrack:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contour, "_track", _bisecting_batch)
             old = _outcome(func, rect)
-        event(f"{kind.name} {'contact' if old == 'contact' else 'count'}")
+        event(f"{family} {'contact' if old == 'contact' else 'count'}")
         assert new == old
 
 
 class TestBatchedWinding:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from(list(CharKind)),
+        st.sampled_from(list(_FAMILY_GAINS)),
         st.integers(-200, 200).map(lambda k: k / 100),
         st.integers(-200, 200).map(lambda k: k / 100),
         st.integers(1, 6),
         st.integers(1, 3),
         st.data(),
     )
-    def test_each_box_as_if_alone(self, kind, c1, c2, m, n, data):
+    def test_each_box_as_if_alone(self, family, c1, c2, m, n, data):
         # a batch mixes lattice boxes with boxes that have an edge exactly
         # through a root; a contact in one box leaves the others' counts
         assume(math.gcd(m, n) == 1)
-        sysd = _KIND_SYSTEM[kind](c1, c2, m, n)
+        sysd = _family_system(family, c1, c2, m, n)
         func = char_expsum(sysd)
         p = reduce_to_polynomial(sysd)
         zs = [z for z in disk_roots(p).roots if z != 0] if p.degree > 0 else []
@@ -298,7 +316,7 @@ class TestBatchedWinding:
         k, why = _rect_windings(func, box, [expsum_sample_hint(func, r) for r in rects])
         batched = ["contact" if i in why else k[i] for i in range(len(rects))]
         alone = [_outcome(func, r) for r in rects]
-        event(f"{kind.name} {sum(b == 'contact' for b in batched)} of {len(rects)} in contact")
+        event(f"{family} {sum(b == 'contact' for b in batched)} of {len(rects)} in contact")
         assert batched == alone
 
     def test_contact_leaves_the_other_boxes(self):
@@ -709,7 +727,7 @@ class TestMinUnstableImag:
     def test_scan_route_matches_rational(self):
         s_rat = equal_gain_system(-0.3, 2.05)
         v_rat = min_unstable_imag(s_rat, 40.0)
-        s_scan = DelaySystem(DelayGains(-0.3, -0.3), 2.05, None, s_rat.kind)
+        s_scan = DelaySystem(DelayGains(-0.3, -0.3), 2.05)
         v_scan = min_unstable_imag(s_scan, 40.0)
         assert v_scan == pytest.approx(v_rat, abs=1e-7)
 
@@ -729,18 +747,13 @@ class TestReBound:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(list(CharKind)),
+        st.sampled_from(list(_FAMILY_GAINS)),
         st.floats(-3, 3),
         st.floats(-3, 3),
         st.floats(0.05, 8),
     )
-    def test_matches_full_length_bisection(self, kind, c1, c2, tau):
-        gains = {
-            CharKind.CASCADE_FULL: DelayGains(c1, c2),
-            CharKind.CASCADE_EQUAL_GAINS: DelayGains(c1, c1),
-            CharKind.DIRECT_DELAY_FEEDBACK: DelayGains(0.0, c2),
-        }[kind]
-        s = DelaySystem(gains, tau, kind=kind)
+    def test_matches_full_length_bisection(self, family, c1, c2, tau):
+        s = DelaySystem(_FAMILY_GAINS[family](c1, c2), tau)
         es = char_expsum(s)
         if len(es.rates) <= 1:
             assert re_bound(s) == 0.5

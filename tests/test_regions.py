@@ -316,10 +316,6 @@ class TestStabilityRegion:
             assert stability_region(tau, CharKind.CASCADE_EQUAL_GAINS).empty
             assert stability_region(tau, CharKind.DIRECT_DELAY_FEEDBACK).empty
 
-    def test_full_kind_rejected(self):
-        with pytest.raises(ValueError):
-            stability_region(2.0, CharKind.CASCADE_FULL)
-
     def test_region_spec_invariant(self):
         with pytest.raises(ValueError):
             RegionSpec.interval(1.0, 1.0)
@@ -492,10 +488,6 @@ class TestBisectedBoundaries:
 
     def test_empty_region_returns_none(self):
         assert region_boundaries_bisect(3.0, CharKind.CASCADE_EQUAL_GAINS) is None
-
-    def test_full_cascade_refused(self):
-        with pytest.raises(ValueError):
-            region_boundaries_bisect(2.0, CharKind.CASCADE_FULL)
 
     def test_equal_gains_at_one_have_no_window(self):
         assert region_boundaries_bisect(1.0, CharKind.CASCADE_EQUAL_GAINS, tau_rational=Rational(1, 1)) is None
@@ -703,14 +695,10 @@ class TestCrossingState:
         assert classify(equal_gain_system(0.5 * stability_region(2000.0, CharKind.CASCADE_EQUAL_GAINS).upper, 2000.0)).state is StabilityState.STABLE
         assert time.perf_counter() - t0 < 2.0
 
-    def test_full_cascade_rejected(self):
-        with pytest.raises(ValueError):
-            regions.crossing_state(CharKind.CASCADE_FULL, 3, 2, 0.1)
-
 
 class TestGainsPickTheAnalysis:
-    """The gains, not the tag, choose the analysis: c1 = c2 and c1 = 0 are the
-    one-gain loops whatever the tag, and two gains read the rightmost root."""
+    """The gains choose the analysis: c1 = c2 and c1 = 0 are the one-gain
+    loops however the system is built, and two gains read the rightmost root."""
 
     @staticmethod
     def relative_residual(s, lam):
