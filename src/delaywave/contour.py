@@ -3,14 +3,15 @@
 Every winding number comes from one argument tracker, which follows many
 closed paths t in [0, 1] -> z at once: the four edges of a rectangle, a
 quarter of t each, or the unit circle exp(2 pi i t).  The samples of all
-paths sit in flat arrays tagged with their path, so each sampling round and
-each tracking pass is one evaluation of the function.  Steps that turn by
-pi/2 or more are cut, at their midpoint and where their chord passes closest
-to 0, until none is left, which pins the branch of the argument; a zero on
-the path is met within a few passes.  Each path's count is repeated at
-doubled initial density until two rounds agree; each doubling round reuses
-the uniform samples of the round before and evaluates only the midpoints
-between them.  Since the tracked functions are analytic, the winding equals
+paths sit in flat arrays tagged with their path, so each tracking pass is
+one evaluation of the function.  A step settles only when it turns by less
+than pi/2 and so do both its halves at its midpoint, which pins the branch
+of the argument and refines a coarse step that hides a turn one of its
+halves shows.  A step that fails is cut, at its midpoint and, if it turns
+by pi/2 or more itself, where its chord passes closest to 0, so a zero on
+the path is met within a few passes.  Each path is tracked once, from a
+uniform grid whose first check evaluates only the midpoints between its
+samples.  Since the tracked functions are analytic, the winding equals
 the number of enclosed zeros counted with multiplicity.  A path that touches
 a zero gets its own :class:`OnContourZero` and leaves the other paths of its
 batch alone; a rectangle the caller may move is dilated by fixed steps
@@ -71,9 +72,11 @@ _MAX_DEPTH = 60
 # than this is refused (a batch of the strip scan turns it by no more in all):
 # the samples a winding needs there run to hundreds of MB
 _MAX_PHASE = 2e5
-# count_in_disk refuses a winding from more samples than this: its doubling rounds
-# hold several arrays of twice as many (606 MB of process memory at degree 400001)
+# count_in_disk refuses a winding from more samples than this: its midpoint check
+# holds several arrays of twice as many (175 MB of process memory at the cap)
 _MAX_DISK_SAMPLES = 2**20
+# passes of the argument tracker after its first midpoint check
+_MAX_PASS = 60
 
 
 class OnContourZero(ArithmeticError):
@@ -130,59 +133,78 @@ class RootRecord:
     multiplicity: int
 
 
-def _track(func, path, pid, t, w, npaths, zero_tol, max_pass=60):
-    """Total change of arg func along each of ``npaths`` closed paths.
+def _track(func, path, n):
+    """Total change of arg func along each of the closed paths ``path(p, t)``,
+    t from 0 to 1, p = 0 .. len(n) - 1, each from ``n[p]`` uniform samples.
 
-    Path p is ``path(p, t)``, t from 0 to 1.  Its samples ``w = func(path(pid,
-    t))`` sit in flat arrays, path after path with t sorted within each path.
-    A step that turns by less than pi/2 is settled and its turn added to its
-    path's total; only the unsettled steps are carried on.  Each pass cuts
-    every one of them, of all paths in one ``func`` call, at its midpoint,
-    which keeps bisection's progress, and at the point where the chord from
-    its end values passes closest to 0, and inspects only the new sub-steps.
-    The chord point converges on a zero on the path within a few passes;
-    from a zero just off the path it falls at the foot of the perpendicular,
-    where |func| is as large as the distance allows.
+    A step settles, and its turn is added to its path's total, only when it
+    turns by less than pi/2 and so do both of its halves at its midpoint, so
+    a coarse step that hides a turn one of its halves shows is refined.  A
+    step that fails is replaced by its pieces, which go through the same
+    check.  The samples of all paths sit in flat arrays, path after path
+    with t sorted within each path.  The first check evaluates the midpoints
+    of all steps in place, on the uniform grid of 2 n[p] - 1 samples, and a
+    step that fails it goes on as its two halves.  Each later pass
+    evaluates, for all paths in one ``func`` call, the midpoint of every
+    open step; a step that itself turns by pi/2 or more is cut there and
+    where the chord from its end values passes closest to 0, and goes on as
+    the three pieces.  The chord point converges on a zero on the path
+    within a few passes; from a zero just off the path it falls at the foot
+    of the perpendicular, where |func| is as large as the distance allows.
 
     Returns ``(total, why)``: ``why`` maps each path that met a sample below
-    ``zero_tol``, or was still unsettled at its last pass, to the reason;
-    ``total`` holds the change of arg along every other path.
+    ``_ZERO_TOL``, or was still open after ``_MAX_PASS`` passes, to the
+    reason; ``total`` holds the change of arg along every other path.
     """
-    why = {}
-    open_ = _contacts(why, pid, w, zero_tol, npaths)
+    why, half = {}, 0.5 * np.pi
+    pid, t = _grid(2 * n - 1)
+    # sample j of path p sits at 2 (j + s) - p of the finer grid, and step j
+    # starts at 2 (j + s - p) + p, where s counts the samples before path p
+    at = 2 * np.arange(n.sum()) - np.arange(n.size).repeat(n)
+    i = 2 * np.arange(n.sum() - n.size) + np.arange(n.size).repeat(n - 1)
+    w = np.empty(pid.size, dtype=complex)
+    w[at] = func(path(pid[at], t[at]))
+    w[i + 1] = func(path(pid[i + 1], t[i + 1]))
+    open_ = _contacts(why, pid, w, n.size)
     if open_ is not None:
-        keep = open_[pid]
-        pid, t, w = pid[keep], t[keep], w[keep]
-    dphi = _turn(w[:-1], w[1:])
-    same = pid[1:] == pid[:-1]
-    bad = np.abs(dphi) >= 0.5 * np.pi
-    ok = same & ~bad
-    total = np.bincount(pid[1:][ok], dphi[ok], npaths)
-    bad &= same
-    ta, tb, wa, wb, sp = t[:-1][bad], t[1:][bad], w[:-1][bad], w[1:][bad], pid[1:][bad]
-    last = sp
-    for _ in range(max_pass):
+        # a path in contact is out of the count: its samples settle at once
+        w[~open_[pid]] = 1.0
+    h = _turn(w[:-1], w[1:])
+    h1, h2 = h[i], h[i + 1]
+    dphi = h1 + h2
+    ok = (np.abs(h1) < half) & (np.abs(h2) < half) & (np.abs(dphi) < half)
+    total = np.zeros(n.size)
+    total += np.bincount(pid[i][ok], dphi[ok], n.size)
+    i = np.concatenate((i[~ok], i[~ok] + 1))
+    ta, tb, wa, wb, sp, dphi = t[i], t[i + 1], w[i], w[i + 1], pid[i], h[i]
+    for _ in range(_MAX_PASS):
         if not sp.size:
-            return total, why
-        last = sp
-        tm, tc = 0.5 * (ta + tb), np.minimum(ta + _chord_cut(wa, wb) * (tb - ta), tb)
-        t1, t2 = np.minimum(tm, tc), np.maximum(tm, tc)
-        s2 = np.concatenate((sp, sp))
-        wn = func(path(s2, np.concatenate((t1, t2))))
-        w1, w2 = wn[:sp.size], wn[sp.size:]
-        open_ = _contacts(why, s2, wn, zero_tol, npaths)
+            break
+        big = np.abs(dphi) >= half
+        tm = 0.5 * (ta + tb)
+        tc = np.minimum(ta + _chord_cut(wa, wb) * (tb - ta), tb)
+        t1, t2 = np.where(big, np.minimum(tm, tc), tm), np.where(big, np.maximum(tm, tc), tm)
+        s2 = np.concatenate((sp, sp[big]))
+        wn = func(path(s2, np.concatenate((t1, t2[big]))))
+        w1, w2 = wn[:sp.size], wn[:sp.size].copy()
+        w2[big] = wn[sp.size:]
+        open_ = _contacts(why, s2, wn, n.size)
         if open_ is not None:
             keep = open_[sp]
-            ta, tb, wa, wb, sp = ta[keep], tb[keep], wa[keep], wb[keep], sp[keep]
-            t1, t2, w1, w2 = t1[keep], t2[keep], w1[keep], w2[keep]
-        ta, tb = np.concatenate((ta, t1, t2)), np.concatenate((t1, t2, tb))
-        wa, wb = np.concatenate((wa, w1, w2)), np.concatenate((w1, w2, wb))
-        sp = np.concatenate((sp, sp, sp))
-        dphi = _turn(wa, wb)
-        bad = np.abs(dphi) >= 0.5 * np.pi
-        total += np.bincount(sp[~bad], dphi[~bad], npaths)
-        ta, tb, wa, wb, sp = ta[bad], tb[bad], wa[bad], wb[bad], sp[bad]
-    for p in set(last.tolist()):
+            ta, tb, t1, t2, wa, wb, w1, w2 = (x[keep] for x in (ta, tb, t1, t2, wa, wb, w1, w2))
+            sp, dphi, big = sp[keep], dphi[keep], big[keep]
+        # the pieces: every step's left and right one (a midpoint check's
+        # halves), then the middle one of each step cut at its chord point
+        k = sp.size
+        ta, tb = np.concatenate((ta, t2, t1[big])), np.concatenate((t1, tb, t2[big]))
+        wa, wb = np.concatenate((wa, w2, w1[big])), np.concatenate((w1, wb, w2[big]))
+        h = _turn(wa, wb)
+        ok = ~big & (np.abs(h[:k]) < half) & (np.abs(h[k:2 * k]) < half)
+        total += np.bincount(sp[ok], dphi[ok], n.size)
+        keep = np.concatenate((~ok, ~ok, np.ones(ta.size - 2 * k, dtype=bool)))
+        ta, tb, wa, wb, dphi = ta[keep], tb[keep], wa[keep], wb[keep], h[keep]
+        sp = np.concatenate((sp, sp, sp[big]))[keep]
+    for p in set(sp.tolist()):
         why.setdefault(p, "argument tracking did not settle (zero very near contour)")
     return total, why
 
@@ -202,10 +224,10 @@ def _chord_cut(wa, wb):
     return np.where(np.isfinite(s), np.clip(s, 0.0, 1.0), 0.5)
 
 
-def _contacts(why, pid, w, zero_tol, npaths):
-    """Record in ``why`` every path with a sample below ``zero_tol``.  Returns
+def _contacts(why, pid, w, npaths):
+    """Record in ``why`` every path with a sample below ``_ZERO_TOL``.  Returns
     None if there is none, else the mask of the paths ``why`` does not name."""
-    low = np.abs(w) < zero_tol
+    low = np.abs(w) < _ZERO_TOL
     if not low.any():
         return None
     for p in set(pid[low].tolist()):
@@ -216,78 +238,42 @@ def _contacts(why, pid, w, zero_tol, npaths):
 
 
 def _grid(n):
-    """Flat uniform grids: ``n[p]`` parameters for path p, bit for bit
-    ``np.linspace(0, 1, n[p])``.  Returns the path id, the index within its
-    path and the parameter of every sample."""
+    """Flat uniform grids: ``n[p]`` (at least 2) parameters for path p, bit
+    for bit ``np.linspace(0, 1, n[p])``.  Returns the path id and the
+    parameter of every sample."""
     pid = np.arange(n.size).repeat(n)
     end = n.cumsum()
-    j = np.arange(pid.size) - (end - n).repeat(n)
-    t = j * (1.0 / (n - 1)).repeat(n)
-    # a path with n = 0 points its end at the last sample of another path
+    t = (np.arange(pid.size) - (end - n).repeat(n)) * (1.0 / (n - 1)).repeat(n)
+    # j (1 / (n - 1)) can fall short of 1 at j = n - 1
     t[end - 1] = 1.0
-    return pid, j, t
+    return pid, t
 
 
 def _windings(func, path, n):
     """Winding numbers of ``func`` around 0 along the closed paths
-    ``path(p, t)``, p = 0 .. len(n) - 1, in one batch.
-
-    Path p starts from ``n[p]`` uniform samples.  Principal-value tracking
-    alone can settle on an aliased count when a coarse step hides a full
-    turn, so each path's count is recomputed at doubled initial density
-    until two consecutive rounds agree, 8 rounds at most.  A doubling round
-    keeps a path's n uniform samples and evaluates only the n - 1 midpoints
-    between them.  Every round samples, and every tracking pass cuts, all
-    paths still open in one ``func`` call.  An :class:`ExpSum` is tracked
+    ``path(p, t)``, p = 0 .. len(n) - 1, in one batch: :func:`_track` from
+    ``n[p]`` uniform samples of path p, once.  An :class:`ExpSum` is tracked
     divided by the size of its terms (at least 1), a positive factor: far
     from the imaginary axis rounding leaves |func| on a zero above an
     absolute ``_ZERO_TOL``, but never above it relative to that size.
 
     Returns ``(k, why)``: ``why`` maps each path that touched a zero, did
-    not settle, gave a non-integer count or did not stabilise to the
-    message of its :class:`OnContourZero`; ``k[p]`` is the winding number
-    of every other path.  One path's failure leaves the others' counts as
-    they are.
+    not settle or gave a non-integer count to the message of its
+    :class:`OnContourZero`; ``k[p]`` is the winding number of every other
+    path.  One path's failure leaves the others' counts as they are.
     """
     if isinstance(func, ExpSum):
         es = func
         func = lambda z: es(z) / np.maximum(es.magnitude(z), 1.0)
-    n = np.asarray(n)
-    k, why, k_prev = [0] * n.size, {}, {}
-    live = range(n.size)
-    pid, j, t = _grid(n)
-    w = func(path(pid, t))
-    for rnd in range(8):
-        if rnd:
-            if shrunk:
-                alive = np.zeros(n.size, dtype=bool)
-                alive[live] = True
-                n, w = n * alive, w[alive[pid]]
-            n = np.maximum(2 * n - 1, 0)
-            pid, j, t = _grid(n)
-            fresh = j % 2 == 1
-            kept, w = w, np.empty(pid.size, dtype=w.dtype)
-            w[~fresh] = kept
-            w[fresh] = func(path(pid[fresh], t[fresh]))
-        total, lost = _track(func, path, pid, t, w, n.size, _ZERO_TOL)
-        total = total.tolist()
-        still = []
-        for p in live:
-            x = total[p] / (2.0 * np.pi)
-            if p in lost:
-                why[p] = lost[p]
-            elif not (math.isfinite(x) and abs(x - round(x)) <= 0.25):
-                why[p] = f"non-integer winding {x:.3f}"
-            elif round(x) == k_prev.get(p):
-                k[p] = round(x)
-            else:
-                k_prev[p] = round(x)
-                still.append(p)
-        shrunk, live = len(still) < len(live), still
-        if not live:
-            return k, why
-    for p in live:
-        why[p] = "winding did not stabilise under sample doubling"
+    total, why = _track(func, path, np.asarray(n))
+    k = [0] * len(total)
+    for p, x in enumerate((total / (2.0 * np.pi)).tolist()):
+        if p in why:
+            continue
+        if math.isfinite(x) and abs(x - round(x)) <= 0.25:
+            k[p] = round(x)
+        else:
+            why[p] = f"non-integer winding {x:.3f}"
     return k, why
 
 
@@ -325,40 +311,30 @@ def _single(result) -> int:
     return k[0]
 
 
-def winding_rect(
-    func: Callable[[np.ndarray], np.ndarray],
-    rect: ComplexRect,
-    n0: int = 17,
-) -> int:
+def winding_rect(func: Callable[[np.ndarray], np.ndarray], rect: ComplexRect) -> int:
     """Winding number of ``func`` around 0 along the rectangle boundary.
 
     ``func`` must accept complex ndarrays.  Equals the number of zeros of an
     analytic ``func`` inside the rectangle, counted with multiplicity.  Each
-    edge starts from ``n0`` (at least 2) samples, and the count must agree
-    under sample doubling; an :class:`ExpSum` starts from at least
-    :func:`expsum_sample_hint`, as coarser rounds can agree on an alias.
-    Raises :class:`OnContourZero` when a sample of |func| drops below
+    edge starts from 17 samples, an :class:`ExpSum`'s from
+    :func:`_sample_hint` of the longer side, and :func:`_track` refines a
+    step until it and both its halves turn by less than pi/2.  Raises
+    :class:`OnContourZero` when a sample of |func| drops below
     ``_ZERO_TOL``, for an :class:`ExpSum` times the size of its terms there
     (at least 1); the caller should perturb the rectangle and retry.  An
     :class:`ExpSum` whose phase turns by more than ``_MAX_PHASE`` along a
     side raises ValueError.
     """
-    if n0 < 2:
-        raise ValueError(f"n0 = {n0}: each edge needs at least 2 samples")
-    if isinstance(func, ExpSum):
-        n0 = max(n0, expsum_sample_hint(func, rect))
+    span = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
+    n0 = int(_sample_hint(func, span)) if isinstance(func, ExpSum) else 17
     box = [(rect.re_min, rect.re_max, rect.im_min, rect.im_max)]
     return _single(_rect_windings(func, box, [n0]))
 
 
-def expsum_sample_hint(es: ExpSum, rect: ComplexRect) -> int:
-    """Initial edge density matched to the fastest phase rotation of ``es``."""
-    return int(_sample_hint(es, max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)))
-
-
 def _sample_hint(es: ExpSum, span):
-    """:func:`expsum_sample_hint` of rectangles whose longer sides are ``span``.
-    Raises ValueError where the phase turns by more than ``_MAX_PHASE``."""
+    """Initial edge density of rectangles whose longer sides are ``span``,
+    matched to the fastest phase rotation of ``es``.  Raises ValueError
+    where the phase turns by more than ``_MAX_PHASE``."""
     if not es.rates:
         return np.full(np.shape(span), 17)
     phase = max(abs(a) for a in es.rates) * np.asarray(span)

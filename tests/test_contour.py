@@ -23,9 +23,10 @@ from delaywave.contour import (
     OnContourZero,
     _chord_cut,
     _rect_windings,
+    _sample_hint,
+    _single,
     count_in_disk,
     count_in_strip,
-    expsum_sample_hint,
     isolate_and_refine,
     min_unstable_imag,
     re_bound,
@@ -37,6 +38,16 @@ from delaywave.polyform import PolyReal, disk_roots, reduce_to_polynomial
 
 def equal_sys(m, n, c):
     return equal_gain_system(c, m / n, Rational(m, n))
+
+
+def _box_count(func, rect, n0):
+    """The count of ``rect`` from ``n0`` samples per edge, or its OnContourZero."""
+    return _single(_rect_windings(func, [(rect.re_min, rect.re_max, rect.im_min, rect.im_max)], [n0]))
+
+
+def _hint(func, rect):
+    """The edge density ``winding_rect`` starts ``rect`` from for an ExpSum."""
+    return int(_sample_hint(func, max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)))
 
 
 # ---------------------------------------------------------------- winding
@@ -61,7 +72,7 @@ class TestWindingRect:
     def test_integer_stable_under_refinement(self):
         s = equal_sys(4, 1, 0.6)
         rect = ComplexRect(-0.7, 0.9, 0.1, 6.0)
-        counts = {winding_rect(char_expsum(s), rect, n0=n0) for n0 in (17, 33, 129, 513)}
+        counts = {_box_count(char_expsum(s), rect, n0) for n0 in (17, 33, 129, 513)}
         assert len(counts) == 1
 
     def test_on_contour_zero(self):
@@ -84,20 +95,20 @@ class TestWindingRect:
         # one sample per edge made every count 0; zero failed inside numpy
         f = char_expsum(equal_sys(2, 1, -0.25))
         rect = ComplexRect(-1, 1, 0.5, 7)
-        assert winding_rect(f, rect, n0=17) == 2
-        for n0 in (1, 0, -3):
-            with pytest.raises(ValueError, match="n0"):
-                winding_rect(f, rect, n0=n0)
+        assert winding_rect(f, rect) == 2
 
     def test_coarse_start_raised_to_the_sample_hint(self):
-        # two samples per edge alias both roots away, and the rounds of 5 and
-        # 9 samples agree on that 0
+        # two samples per edge aliased both roots away under sample doubling,
+        # whose rounds of 5 and 9 samples agreed on that 0; the half check
+        # refines those steps, and winding_rect starts from the hint
         f = char_expsum(equal_sys(2, 1, -0.25))
-        assert winding_rect(f, ComplexRect(-1, 1, 0.5, 7), n0=2) == 2
+        rect = ComplexRect(-1, 1, 0.5, 7)
+        for n0 in (2, _hint(f, rect)):
+            assert _box_count(f, rect, n0) == 2
 
-    def test_doubling_round_evaluates_only_midpoints(self):
-        # a simple zero well inside: no step turns by pi/2, so the count
-        # settles in two rounds without bisection
+    def test_midpoint_check_evaluates_only_midpoints(self):
+        # a simple zero well inside: no step or half turns by pi/2, so the
+        # count settles at the first midpoint check without bisection
         points = []
 
         def func(z):
@@ -105,7 +116,7 @@ class TestWindingRect:
             return z - (0.1 + 0.2j)
 
         n0 = 17
-        assert winding_rect(func, ComplexRect(-1, 1, -1, 1), n0=n0) == 1
+        assert _box_count(func, ComplexRect(-1, 1, -1, 1), n0) == 1
         N = 4 * (n0 - 1) + 1
         assert points == [N, N - 1]
 
@@ -125,8 +136,8 @@ class TestWindingRect:
         # counts of the engine that re-evaluated every sample in each round
         f = char_expsum(sysd)
         rect = ComplexRect(*box)
-        for n0 in (17, expsum_sample_hint(f, rect)):
-            assert winding_rect(f, rect, n0=n0) == expected
+        for n0 in (17, _hint(f, rect)):
+            assert _box_count(f, rect, n0) == expected
 
 
 def _bisecting_track(func, path, t, w, zero_tol, max_pass=60):
@@ -145,19 +156,35 @@ def _bisecting_track(func, path, t, w, zero_tol, max_pass=60):
     raise OnContourZero("argument tracking did not settle (zero very near contour)")
 
 
-def _bisecting_batch(func, path, pid, t, w, npaths, zero_tol, max_pass=60):
-    """``_bisecting_track`` behind the batched tracker's interface, run path
-    by path on each path's own samples."""
-    total, why = np.zeros(npaths), {}
-    for p in np.unique(pid).tolist():
-        on = pid == p
-        try:
-            total[p] = _bisecting_track(
-                func, lambda s, p=p: path(np.full(s.size, p), s), t[on], w[on], zero_tol, max_pass
-            )
-        except OnContourZero as exc:
-            why[p] = str(exc)
-    return total, why
+def _doubling_windings(func, path, n):
+    """The engine the half check replaced, behind ``contour._windings``'
+    interface: each path tracked by ``_bisecting_track``, path by path, and
+    tracked again at doubled density until two rounds agree, 8 rounds at
+    most.  An ExpSum is tracked divided by the size of its terms, as there."""
+    if isinstance(func, ExpSum):
+        es = func
+        func = lambda z: es(z) / np.maximum(es.magnitude(z), 1.0)
+    k, why = [0] * len(n), {}
+    for p, size in enumerate(n):
+        on_p = lambda s, p=p: path(np.full(s.size, p), s)
+        prev = None
+        for _ in range(8):
+            t = np.linspace(0.0, 1.0, size)
+            try:
+                x = _bisecting_track(func, on_p, t, func(on_p(t)), contour._ZERO_TOL) / (2.0 * np.pi)
+            except OnContourZero as exc:
+                why[p] = str(exc)
+                break
+            if not (math.isfinite(x) and abs(x - round(x)) <= 0.25):
+                why[p] = f"non-integer winding {x:.3f}"
+                break
+            if round(x) == prev:
+                k[p] = prev
+                break
+            prev, size = round(x), 2 * size - 1
+        else:
+            why[p] = "winding did not stabilise under sample doubling"
+    return k, why
 
 
 def _counted(func):
@@ -172,9 +199,16 @@ def _counted(func):
 
 def _outcome(func, rect):
     try:
-        return winding_rect(func, rect, n0=expsum_sample_hint(func, rect))
+        return winding_rect(func, rect)
     except OnContourZero:
         return "contact"
+
+
+def _old_outcome(func, rect):
+    """``_outcome`` under the engine of midpoint bisection and doubling."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contour, "_windings", _doubling_windings)
+        return _outcome(func, rect)
 
 
 # the cascade loop and its two one-gain families, built from a drawn (c1, c2)
@@ -250,6 +284,19 @@ class TestTrack:
         assert winding_rect(f, ComplexRect(*box)) == expected
         assert len(calls) <= 30
 
+    def test_a_step_whose_half_turns_by_pi_over_2_is_cut(self):
+        # a zero 0.05 above the bottom edge of [-1, 1]^2 and one 0.05 below:
+        # from 2 samples per edge that edge is one step turning by 0, which
+        # the old rule settled, but each of its halves turns by about 2.2
+        def g(z):
+            return (z - (0.1 - 0.95j)) * (z - (-0.1 - 1.05j))
+
+        assert abs(np.angle(g(1 - 1j) / g(-1 - 1j))) < 0.5 * np.pi <= abs(np.angle(g(-1j) / g(-1 - 1j)))
+        f, calls = _counted(g)
+        assert _box_count(f, ComplexRect(-1, 1, -1, 1), 2) == 1
+        # a path that settles at once takes two calls: the grid and its midpoints
+        assert len(calls) > 2
+
     def test_degenerate_chord_cuts_at_the_midpoint(self):
         wa = np.array([1 + 1j, np.inf, 1.0, np.nan, -1.0, -1.0, 1 + 1j, -3.0])
         wb = np.array([1 + 1j, 1.0, np.nan, 1.0, 1.0, 3.0, 2 + 1j, 1.0])
@@ -265,9 +312,7 @@ class TestTrack:
         rect = ComplexRect(-6.907758278970137, -6.657758278970137, -5.497787143782138, -3.9269908169872414)
         assert func.magnitude(rect.re_min) > 999
         assert _outcome(func, rect) == "contact"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contour, "_track", _bisecting_batch)
-            assert _outcome(func, rect) == "contact"
+        assert _old_outcome(func, rect) == "contact"
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -286,9 +331,7 @@ class TestTrack:
         zs = [z for z in disk_roots(p).roots if z != 0] if p.degree > 0 else []
         rect = _drawn_box(data, zs, n)
         new = _outcome(func, rect)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contour, "_track", _bisecting_batch)
-            old = _outcome(func, rect)
+        old = _old_outcome(func, rect)
         event(f"{family} {'contact' if old == 'contact' else 'count'}")
         assert new == old
 
@@ -305,7 +348,9 @@ class TestBatchedWinding:
     )
     def test_each_box_as_if_alone(self, family, c1, c2, m, n, data):
         # a batch mixes lattice boxes with boxes that have an edge exactly
-        # through a root; a contact in one box leaves the others' counts
+        # through a root; a contact in one box leaves the others' counts, and
+        # each box comes out as the engine of bisection and doubling gives it
+        # when wound alone
         assume(math.gcd(m, n) == 1)
         sysd = _family_system(family, c1, c2, m, n)
         func = char_expsum(sysd)
@@ -313,9 +358,9 @@ class TestBatchedWinding:
         zs = [z for z in disk_roots(p).roots if z != 0] if p.degree > 0 else []
         rects = [_drawn_box(data, zs, n) for _ in range(data.draw(st.integers(1, 6), label="boxes"))]
         box = [(r.re_min, r.re_max, r.im_min, r.im_max) for r in rects]
-        k, why = _rect_windings(func, box, [expsum_sample_hint(func, r) for r in rects])
+        k, why = _rect_windings(func, box, [_hint(func, r) for r in rects])
         batched = ["contact" if i in why else k[i] for i in range(len(rects))]
-        alone = [_outcome(func, r) for r in rects]
+        alone = [_old_outcome(func, r) for r in rects]
         event(f"{family} {sum(b == 'contact' for b in batched)} of {len(rects)} in contact")
         assert batched == alone
 
@@ -328,8 +373,9 @@ class TestBatchedWinding:
         assert (k[0], k[3]) == (1, 2)
         assert all("tolerance" in msg for msg in why.values())
 
-    def test_one_call_per_round_for_all_paths(self):
-        # paths that settle in two rounds cost two calls, however many there are
+    def test_one_call_per_pass_for_all_paths(self):
+        # paths that settle at the first midpoint check cost two calls, the
+        # grid and its midpoints, however many paths there are
         calls = []
 
         def func(z):

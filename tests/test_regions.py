@@ -21,7 +21,7 @@ from delaywave.chareq import (
     eval_char,
 )
 from delaywave.contour import count_in_disk, spectral_abscissa
-from delaywave.polyform import StabilityState, disk_roots, reduce_to_polynomial, stability_from_poly
+from delaywave.polyform import StabilityState, disk_roots, disk_terms, reduce_to_polynomial, stability_from_poly
 from delaywave.regions import (
     RegionSpec,
     SearchExhausted,
@@ -711,14 +711,23 @@ class TestGainsPickTheAnalysis:
         v = classify(DelaySystem(DelayGains(0.0, 1e-20), 0.5, Rational(1, 2)))
         assert v.state is StabilityState.MARGINAL and abs(v.witness.real) < 1e-9
 
-    def twins(self, c, m, n):
-        rat = Rational(m, n)
-        yield DelaySystem(DelayGains(c, c), m / n, rat), equal_gain_system(c, m / n, rat)
-        yield DelaySystem(DelayGains(0.0, c), m / n, rat), direct_feedback_system(c, m / n, rat)
+    @staticmethod
+    def disk_windings(s, n):
+        """(zeros inside, whether one is on the circle) as classify counts two
+        gains: the windings of P(r z) at r = e^{-1e-9/n} and at e^{+1e-9/n}."""
+        inner, outer = (
+            count_in_disk({k: a * r**k for k, a in disk_terms(s).items()})
+            for r in (math.exp(-1e-9 / n), math.exp(1e-9 / n))
+        )
+        return inner, outer > inner
 
     def test_untagged_one_gain_loops_match_their_twins(self):
+        # a one-gain loop built from its gains, (c, c) or (0, c), is counted by
+        # its crossing table; its twin count is the one two gains get, from
+        # two windings of the disk polynomial, and a zero on the circle lies
+        # between their radii
         rng = np.random.default_rng(15)
-        checked = 0
+        checked = on_circle = 0
         for m, n in itertools.product(range(1, 13), range(1, 5)):
             if m == n or math.gcd(m, n) != 1:
                 continue
@@ -726,13 +735,16 @@ class TestGainsPickTheAnalysis:
             for kind in TestCrossingState.KINDS:
                 gains.update(regions._crossing_table(kind, m, n).gains)
             for c in sorted(gains):
-                for s, twin in self.twins(c, m, n):
-                    v, w = classify(s), classify(twin)
-                    assert v.state is w.state, (m, n, c, s.gains)
+                for kind, c1 in ((CharKind.CASCADE_EQUAL_GAINS, c), (CharKind.DIRECT_DELAY_FEEDBACK, 0.0)):
+                    s = DelaySystem(DelayGains(c1, c), m / n, Rational(m, n))
+                    inside, on = regions.crossing_state(kind, m, n, c)
+                    assert (inside, on) == self.disk_windings(s, n), (m, n, c, s.gains)
+                    v = classify(s)
                     if v.witness is not None:
                         assert self.relative_residual(s, v.witness) < 1e-10, (m, n, c, s.gains)
                     checked += 1
-        assert checked == 1108
+                    on_circle += on
+        assert (checked, on_circle) == (1108, 339)
 
     def test_beyond_the_companion_degree_cap(self):
         t0 = time.perf_counter()
