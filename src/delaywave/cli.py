@@ -119,12 +119,17 @@ def _out(path: Optional[str]):
             yield fh
 
 
+# CSV cells that fmt formats as f"{v:.12g}", formatted so without its isinstance
+# chain, which was most of the cost of a row
+_FLOAT_TYPES = (float, np.float64)
+
+
 def _write_csv(path, header, rows):
     with _out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt(v) if not isinstance(v, str) else v for v in row])
+            writer.writerow([f"{v:.12g}" if type(v) in _FLOAT_TYPES else v if isinstance(v, str) else fmt(v) for v in row])
 
 
 def _write_json(path, payload):

@@ -10,14 +10,17 @@ of the argument and refines a coarse step that hides a turn one of its
 halves shows.  A step that fails is cut, at its midpoint and, if it turns
 by pi/2 or more itself, where its chord passes closest to 0, so a zero on
 the path is met within a few passes.  Each path is tracked once, from a
-uniform grid whose first check evaluates only the midpoints between its
-samples.  Since the tracked functions are analytic, the winding equals
-the number of enclosed zeros counted with multiplicity.  A path that touches
-a zero gets its own :class:`OnContourZero` and leaves the other paths of its
-batch alone; a rectangle the caller may move is dilated by fixed steps
-and retried under one policy, ``_winding_with_retries``.  Every rectangle
-winding of an :class:`ExpSum` takes its initial density from one place,
-``_sample_hint``, which also refuses a side beyond the phase budget.
+uniform grid; the first check evaluates its samples and the midpoints
+between them in one call.  An :class:`ExpSum` is tracked as it is
+evaluated, and the size of its terms, against which a contact is judged,
+is computed only at the few samples near a zero.  Since the tracked functions are analytic,
+the winding equals the number of enclosed zeros counted with multiplicity.
+A path that touches a zero gets its own :class:`OnContourZero` and leaves
+the other paths of its batch alone; a rectangle the caller may move is
+dilated by fixed steps and retried under one policy,
+``_winding_with_retries``.  Every rectangle winding of an :class:`ExpSum`
+takes its initial density from one place, ``_sample_hint``, which also
+refuses a side beyond the phase budget.
 
 Root isolation splits level by level: a box of winding k is cut into
 max(2, k) slabs, and the slabs of every box of a level are wound in one
@@ -43,7 +46,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .chareq import DelaySystem, ExpSum, char_expsum, g_expsum
+from .chareq import _EXP_GUARD, DelaySystem, ExpSum, char_expsum, g_expsum
 from .polyform import disk_roots, reduce_to_polynomial
 
 __all__ = [
@@ -72,8 +75,8 @@ _MAX_DEPTH = 60
 # than this is refused (a batch of the strip scan turns it by no more in all):
 # the samples a winding needs there run to hundreds of MB
 _MAX_PHASE = 2e5
-# count_in_disk refuses a winding from more samples than this: its midpoint check
-# holds several arrays of twice as many (175 MB of process memory at the cap)
+# count_in_disk refuses a winding from more samples than this: its first check
+# evaluates twice as many in one call (175 MB of process memory at the cap)
 _MAX_DISK_SAMPLES = 2**20
 # passes of the argument tracker after its first midpoint check
 _MAX_PASS = 60
@@ -142,30 +145,29 @@ def _track(func, path, n):
     a coarse step that hides a turn one of its halves shows is refined.  A
     step that fails is replaced by its pieces, which go through the same
     check.  The samples of all paths sit in flat arrays, path after path
-    with t sorted within each path.  The first check evaluates the midpoints
-    of all steps in place, on the uniform grid of 2 n[p] - 1 samples, and a
-    step that fails it goes on as its two halves.  Each later pass
-    evaluates, for all paths in one ``func`` call, the midpoint of every
-    open step; a step that itself turns by pi/2 or more is cut there and
-    where the chord from its end values passes closest to 0, and goes on as
-    the three pieces.  The chord point converges on a zero on the path
-    within a few passes; from a zero just off the path it falls at the foot
-    of the perpendicular, where |func| is as large as the distance allows.
+    with t sorted within each path.  The first check evaluates, in one
+    ``func`` call, the uniform grid of 2 n[p] - 1 samples of every path: the
+    n[p] samples and the midpoints of their steps; a step that fails it
+    goes on as its two halves.  Each later pass evaluates, for all paths in
+    one ``func`` call, the midpoint of every open step; a step that itself
+    turns by pi/2 or more is cut there and where the chord from its end
+    values passes closest to 0, and goes on as the three pieces.  The chord
+    point converges on a zero on the path within a few passes; from a zero
+    just off the path it falls at the foot of the perpendicular, where
+    |func| is as large as the distance allows.
 
-    Returns ``(total, why)``: ``why`` maps each path that met a sample below
-    ``_ZERO_TOL``, or was still open after ``_MAX_PASS`` passes, to the
+    Returns ``(total, why)``: ``why`` maps each path that met a contact (see
+    :func:`_contacts`), or was still open after ``_MAX_PASS`` passes, to the
     reason; ``total`` holds the change of arg along every other path.
     """
     why, half = {}, 0.5 * np.pi
     pid, t = _grid(2 * n - 1)
-    # sample j of path p sits at 2 (j + s) - p of the finer grid, and step j
-    # starts at 2 (j + s - p) + p, where s counts the samples before path p
-    at = 2 * np.arange(n.sum()) - np.arange(n.size).repeat(n)
+    # step j of path p starts at 2 (j + s - p) + p of the finer grid, where s
+    # counts the samples before path p
     i = 2 * np.arange(n.sum() - n.size) + np.arange(n.size).repeat(n - 1)
-    w = np.empty(pid.size, dtype=complex)
-    w[at] = func(path(pid[at], t[at]))
-    w[i + 1] = func(path(pid[i + 1], t[i + 1]))
-    open_ = _contacts(why, pid, w, n.size)
+    z = path(pid, t)
+    w = func(z)
+    open_ = _contacts(why, func, z, pid, w, n.size)
     if open_ is not None:
         # a path in contact is out of the count: its samples settle at once
         w[~open_[pid]] = 1.0
@@ -185,10 +187,11 @@ def _track(func, path, n):
         tc = np.minimum(ta + _chord_cut(wa, wb) * (tb - ta), tb)
         t1, t2 = np.where(big, np.minimum(tm, tc), tm), np.where(big, np.maximum(tm, tc), tm)
         s2 = np.concatenate((sp, sp[big]))
-        wn = func(path(s2, np.concatenate((t1, t2[big]))))
+        z = path(s2, np.concatenate((t1, t2[big])))
+        wn = func(z)
         w1, w2 = wn[:sp.size], wn[:sp.size].copy()
         w2[big] = wn[sp.size:]
-        open_ = _contacts(why, s2, wn, n.size)
+        open_ = _contacts(why, func, z, s2, wn, n.size)
         if open_ is not None:
             keep = open_[sp]
             ta, tb, t1, t2, wa, wb, w1, w2 = (x[keep] for x in (ta, tb, t1, t2, wa, wb, w1, w2))
@@ -224,10 +227,21 @@ def _chord_cut(wa, wb):
     return np.where(np.isfinite(s), np.clip(s, 0.0, 1.0), 0.5)
 
 
-def _contacts(why, pid, w, npaths):
-    """Record in ``why`` every path with a sample below ``_ZERO_TOL``.  Returns
-    None if there is none, else the mask of the paths ``why`` does not name."""
-    low = np.abs(w) < _ZERO_TOL
+def _contacts(why, func, z, pid, w, npaths):
+    """Record in ``why`` every path with a contact among the samples ``w =
+    func(z)``.  Returns None if there is none, else the mask of the paths
+    ``why`` does not name.
+
+    A sample is a contact when |w| < ``_ZERO_TOL``, for an :class:`ExpSum`
+    when |w| < ``_ZERO_TOL`` max(1, magnitude): far from the imaginary axis
+    rounding leaves |func| on a zero above an absolute ``_ZERO_TOL``, but
+    never above it relative to the size of the terms.  That size is computed
+    only at the samples below ``_ZERO_TOL`` times :func:`_size_bound`.
+    """
+    low = np.abs(w) < _ZERO_TOL * _size_bound(func, z)
+    if isinstance(func, ExpSum) and low.any():
+        c = np.flatnonzero(low)
+        low[c] = np.abs(w[c] / np.maximum(func.magnitude(z[c]), 1.0)) < _ZERO_TOL
     if not low.any():
         return None
     for p in set(pid[low].tolist()):
@@ -235,6 +249,21 @@ def _contacts(why, pid, w, npaths):
     open_ = np.ones(npaths, dtype=bool)
     open_[list(why)] = False
     return open_
+
+
+def _size_bound(func, z):
+    """A bound on the factor of ``_ZERO_TOL`` in the contact test over the
+    samples ``z``: 1 for a plain callable; for an :class:`ExpSum` unscaled
+    at every sample, max(1, magnitude) at the least or the greatest Re z,
+    whichever is larger, as a sum of exponentials of Re z is convex in it
+    (with a margin for rounding); else inf."""
+    if not isinstance(func, ExpSum):
+        return 1.0
+    re = z.real
+    lo, hi = float(re.min()), float(re.max())
+    if max(abs(lo), abs(hi)) * max(map(abs, func.rates), default=0.0) > _EXP_GUARD:
+        return math.inf
+    return (1.0 + 1e-9) * max(1.0, float(func.magnitude(lo)), float(func.magnitude(hi)))
 
 
 def _grid(n):
@@ -253,18 +282,14 @@ def _windings(func, path, n):
     """Winding numbers of ``func`` around 0 along the closed paths
     ``path(p, t)``, p = 0 .. len(n) - 1, in one batch: :func:`_track` from
     ``n[p]`` uniform samples of path p, once.  An :class:`ExpSum` is tracked
-    divided by the size of its terms (at least 1), a positive factor: far
-    from the imaginary axis rounding leaves |func| on a zero above an
-    absolute ``_ZERO_TOL``, but never above it relative to that size.
+    as it is evaluated, rescaled or not, as a positive factor changes no
+    argument; its contacts are judged relative to the size of its terms.
 
     Returns ``(k, why)``: ``why`` maps each path that touched a zero, did
     not settle or gave a non-integer count to the message of its
     :class:`OnContourZero`; ``k[p]`` is the winding number of every other
     path.  One path's failure leaves the others' counts as they are.
     """
-    if isinstance(func, ExpSum):
-        es = func
-        func = lambda z: es(z) / np.maximum(es.magnitude(z), 1.0)
     total, why = _track(func, path, np.asarray(n))
     k = [0] * len(total)
     for p, x in enumerate((total / (2.0 * np.pi)).tolist()):
@@ -295,10 +320,13 @@ def _rect_windings(func, box, n0):
     sides = corners[1:] - corners[:-1]
 
     def path(pid, t):
+        # few temporaries at once: a first check can evaluate a million samples
         s = 4.0 * t
         edge = np.minimum(s.astype(int), 3)
+        s -= edge
         at = 5 * pid + edge
-        return corners[at] + sides[at] * (s - edge)
+        del edge
+        return corners[at] + sides[at] * s
 
     return _windings(func, path, 4 * np.asarray(n0) - 3)
 
@@ -321,7 +349,8 @@ def winding_rect(func: Callable[[np.ndarray], np.ndarray], rect: ComplexRect) ->
     step until it and both its halves turn by less than pi/2.  Raises
     :class:`OnContourZero` when a sample of |func| drops below
     ``_ZERO_TOL``, for an :class:`ExpSum` times the size of its terms there
-    (at least 1); the caller should perturb the rectangle and retry.  An
+    (at least 1, computed only where |func| is small: see :func:`_contacts`);
+    the caller should perturb the rectangle and retry.  An
     :class:`ExpSum` whose phase turns by more than ``_MAX_PHASE`` along a
     side raises ValueError.
     """

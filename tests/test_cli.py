@@ -6,13 +6,14 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delaywave import regions
 from delaywave.chareq import CharKind, Rational, equal_gain_system
-from delaywave.cli import main
+from delaywave.cli import _write_csv, fmt, main
 from delaywave.contour import count_in_disk
 from delaywave.polyform import reduce_to_polynomial
 
@@ -307,6 +308,29 @@ class TestCritical:
     def test_tau_one_rejected(self, capsys):
         code, _, err = run(capsys, "critical", "--m", "1", "--n", "1")
         assert code == 1
+
+
+class TestWriteCsv:
+    def test_cells_as_fmt_gives_them(self, tmp_path):
+        # a float skips fmt's isinstance chain, yet every row must come out
+        # byte for byte as fmt and csv.writer's quoting of strings give it
+        rng = np.random.default_rng(3)
+        row = [
+            None, True, False, np.bool_(True), np.bool_(False), 7, -(2**70), np.int64(-3),
+            0.1, 1 / 3, -0.0, 1e300, 5e-324, np.float64(2.5e-300), np.float64(-1 / 7),
+            np.float32(0.1), np.float32(-3.4e38), math.nan, math.inf, -math.inf,
+            np.float64(np.nan), np.float64(np.inf), np.float64(-np.inf), "Error: a, b \"c\"", "",
+        ]
+        rows = [row, row[::-1], list(rng.normal(size=8) * 10.0 ** rng.integers(-20, 20, 8)),
+                rng.normal(size=8).tolist()]
+        path = tmp_path / "cells.csv"
+        _write_csv(str(path), ["h"] * len(row), rows)
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["h"] * len(row))
+        for r in rows:
+            writer.writerow([fmt(v) if not isinstance(v, str) else v for v in r])
+        assert path.read_bytes() == ref.getvalue().encode()
 
 
 class TestUsage:

@@ -106,9 +106,10 @@ class TestWindingRect:
         for n0 in (2, _hint(f, rect)):
             assert _box_count(f, rect, n0) == 2
 
-    def test_midpoint_check_evaluates_only_midpoints(self):
+    def test_midpoint_check_evaluates_every_sample_once(self):
         # a simple zero well inside: no step or half turns by pi/2, so the
-        # count settles at the first midpoint check without bisection
+        # count settles at the first midpoint check, one call of the grid of
+        # 2 N - 1 samples, without bisection
         points = []
 
         def func(z):
@@ -118,7 +119,7 @@ class TestWindingRect:
         n0 = 17
         assert _box_count(func, ComplexRect(-1, 1, -1, 1), n0) == 1
         N = 4 * (n0 - 1) + 1
-        assert points == [N, N - 1]
+        assert points == [2 * N - 1]
 
     @pytest.mark.parametrize(
         "sysd, box, expected",
@@ -185,6 +186,20 @@ def _doubling_windings(func, path, n):
         else:
             why[p] = "winding did not stabilise under sample doubling"
     return k, why
+
+
+def _exact_contacts(why, func, z, pid, w, npaths):
+    """``contour._contacts`` with the size of the terms of an ExpSum computed
+    at every sample: a contact is |w| / max(1, magnitude) < ``_ZERO_TOL``."""
+    size = np.maximum(func.magnitude(z), 1.0) if isinstance(func, ExpSum) else 1.0
+    low = np.abs(w / size) < contour._ZERO_TOL
+    if not low.any():
+        return None
+    for p in set(pid[low].tolist()):
+        why.setdefault(p, "|func| below tolerance on contour")
+    open_ = np.ones(npaths, dtype=bool)
+    open_[list(why)] = False
+    return open_
 
 
 def _counted(func):
@@ -294,8 +309,9 @@ class TestTrack:
         assert abs(np.angle(g(1 - 1j) / g(-1 - 1j))) < 0.5 * np.pi <= abs(np.angle(g(-1j) / g(-1 - 1j)))
         f, calls = _counted(g)
         assert _box_count(f, ComplexRect(-1, 1, -1, 1), 2) == 1
-        # a path that settles at once takes two calls: the grid and its midpoints
-        assert len(calls) > 2
+        # a path that settles at once takes one call, the grid of 2 (4 * 2 - 3) - 1
+        # samples with its midpoints; this one goes on to cut steps
+        assert calls[0] == 9 and len(calls) > 1
 
     def test_degenerate_chord_cuts_at_the_midpoint(self):
         wa = np.array([1 + 1j, np.inf, 1.0, np.nan, -1.0, -1.0, 1 + 1j, -3.0])
@@ -373,8 +389,48 @@ class TestBatchedWinding:
         assert (k[0], k[3]) == (1, 2)
         assert all("tolerance" in msg for msg in why.values())
 
+    # (a) tau = 0.001 and equal gains 1, re_bound 693.6: the rates are -1, 0.999
+    # and 1, so the sum is rescaled beyond |Re| = 600, and the boxes run across
+    # that line; the third has its left edge through the root 693.147 + 3141.593i
+    # (b) two gains (2e-4, 1e-4) at tau = 2/3: the left edge passes through the
+    # root -13.8155 - 4.7124i, where the terms are 1e6 in size and |f| is
+    # 1.3e-9, so an absolute test finds no contact
+    @pytest.mark.parametrize(
+        "sysd, box, contacts",
+        [
+            (
+                DelaySystem(DelayGains(1.0, 1.0), 0.001, Rational(1, 1000)),
+                [
+                    (590, 610, 3100, 3200),
+                    (550, 700, 3000, 3300),
+                    (693.147180559903, 700, 3100, 3200),
+                    (-610, -590, 0, 100),
+                    (-1, 0, 1, 2),
+                ],
+                [2],
+            ),
+            (
+                DelaySystem(DelayGains(2e-4, 1e-4), 2 / 3, Rational(2, 3)),
+                [(-13.815510557967272, -13.565510557967272, -5.497787143782138, -3.9269908169872414)],
+                [0],
+            ),
+        ],
+    )
+    def test_contacts_as_under_the_exact_size_at_every_sample(self, sysd, box, contacts):
+        # the size of the terms is computed only below _ZERO_TOL times a bound
+        # on it: none where the batch is rescaled anywhere, the larger of its
+        # values at the least and greatest Re where it is not
+        func = char_expsum(sysd)
+        n0 = [int(_sample_hint(func, max(b[1] - b[0], b[3] - b[2]))) for b in box]
+        lazy = _rect_windings(func, box, n0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour, "_contacts", _exact_contacts)
+            exact = _rect_windings(func, box, n0)
+        assert lazy == exact
+        assert sorted(lazy[1]) == contacts
+
     def test_one_call_per_pass_for_all_paths(self):
-        # paths that settle at the first midpoint check cost two calls, the
+        # paths that settle at the first midpoint check cost one call, the
         # grid and its midpoints, however many paths there are
         calls = []
 
@@ -385,7 +441,7 @@ class TestBatchedWinding:
         box = [(-1, 1, -1, 1), (0.5, 1, -1, 1), (-1, 1, 0.3, 1), (-3, 3, -3, 3)]
         k, why = _rect_windings(func, box, [17] * 4)
         assert (k, why) == ([1, 0, 0, 1], {})
-        assert calls == [4 * 65, 4 * 64]
+        assert calls == [4 * (2 * 65 - 1)]
 
 
 class TestCountInDisk:
@@ -627,7 +683,7 @@ class TestIsolate:
         s = equal_sys(2, 1, 0.1)
         roots = isolate_and_refine(s, ComplexRect(-2.0, 0.5, 0.3, 0.3 + 6 * math.pi))
         assert len(roots) == 6
-        assert len(calls) <= 9
+        assert len(calls) <= 3
         assert sum(calls) <= 4199
 
     def test_array_calls_per_cascade_rectangle(self, monkeypatch):
@@ -639,7 +695,7 @@ class TestIsolate:
         rect = ComplexRect(-3.0, 1.0, -200.0, 200.0)
         calls = self._array_calls(monkeypatch)
         roots = isolate_and_refine(s, rect)
-        assert len(calls) <= 8
+        assert len(calls) <= 2
         expected = [
             -n * (np.log(abs(z)) + 1j * (np.angle(z) + 2 * np.pi * k))
             for z in disk_roots(reduce_to_polynomial(s)).roots
