@@ -230,8 +230,16 @@ class ExpSum:
         lam = np.asarray(lam, dtype=complex)
         shift = self._shift(lam.real)
         out = np.zeros(lam.shape, dtype=complex)
+        # each term in place in one work array (two arrays the size of lam, not
+        # three), factors in the order of c * exp(a * lam - shift): swapped,
+        # numpy's SIMD complex products round differently
+        e = np.empty_like(out)
         for c, a in zip(self.coefs, self.rates):
-            out += c * np.exp(a * lam - shift)
+            np.multiply(a, lam, out=e)
+            e -= shift
+            np.exp(e, out=e)
+            np.multiply(c, e, out=e)
+            out += e
         return out
 
     def magnitude(self, lam):

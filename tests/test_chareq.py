@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from delaywave.chareq import (
     DelayGains,
     DelaySystem,
+    ExpSum,
     NearSpectrum,
     NotACharRoot,
     QuadratureTooCoarse,
@@ -202,6 +203,14 @@ class TestExpSumPaths:
         # so the output is bit-identical to always computing it
         f = char_expsum(_system(family, c1, c2, tau))
         lams = np.array([complex(re, im) for re, im in points], dtype=complex)
+        assert np.array_equal(f(lams), _vector_reference(f, lams))
+
+    def test_vector_path_matches_reference_with_complex_coefficients(self):
+        # numpy's complex products round differently with their factors
+        # swapped once a coefficient is not real; 1000 points, some rescaled
+        rng = np.random.default_rng(5)
+        f = ExpSum.of([(complex(*rng.standard_normal(2)), a) for a in (-3.0, -1.0, 0.5, 2.0)])
+        lams = rng.uniform(-400, 400, 1000) + 1j * rng.uniform(-60, 60, 1000)
         assert np.array_equal(f(lams), _vector_reference(f, lams))
 
     @settings(max_examples=150, deadline=None)

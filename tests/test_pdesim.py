@@ -273,6 +273,11 @@ class TestBlockRecursion:
             (3, 2, -0.3, 0.2, 6, 10.0, 0.5),  # c1 != c2, two samples per block
             (3, 2, 0.25, -0.1, 1, 13.0, 2.0),  # K = 1, a sample every other block
             (2, 1, -0.25, -0.25, 5, 7.3, 1.0),  # 36 steps: a partial last block
+            (4, 1, -0.2, 0.1, 4, 9.0, 0.5),  # blocks of 2N steps, a sample every N / 2
+            (5, 2, 0.3, -0.2, 2, 11.0, 1.0),  # N < b = 2N < M
+            (3, 2, -0.25, 0.15, 3, 9.0, 1.0),  # N < b = M < 2N
+            (3, 2, -0.3, 0.2, 2, 14.25, 0.25),  # 57 steps: two buffer wraps, then 3 steps
+            (9, 1, 0.2, -0.3, 2, 20.5, 0.5),  # the w window moved back onto itself, twice
         ],
     )
     def test_matches_stepper(self, m, n, c1, c2, K, T, every):
@@ -288,6 +293,17 @@ class TestBlockRecursion:
         assert state_dict(fin) == state_dict(st)
         times, P, W = boundary_trace_recursion(cfg, T)
         assert len(times) == len(p1) and np.array_equal(P, p1) and np.array_equal(W, w1)
+
+    @pytest.mark.parametrize(
+        "m,n,K,steps", [(1, 5, 4, 37), (2, 1, 5, 36), (4, 1, 4, 40), (5, 2, 2, 43), (3, 2, 3, 54), (9, 1, 2, 41)]
+    )
+    def test_blocks_of_min_2N_M_steps(self, m, n, K, steps):
+        cfg = config(m, n, 0.2, -0.1, K=K)
+        B = min(2 * cfg.wave_cells, cfg.transport_cells)
+        blocks = [(k, b) for k, b, *_ in pdesim._trace_blocks(cfg, steps)][1:]
+        assert len(blocks) == -(-steps // B)
+        assert [k for k, _ in blocks] == list(range(1, steps + 1, B))
+        assert sum(b for _, b in blocks) == steps
 
     def test_extinction_zeros_kept(self):
         cfg = config(2, 1, -0.5, -0.5, K=10, T=10.0)

@@ -107,6 +107,41 @@ def test_critical_set_strip_contains_known_value():
     assert any(abs(v + 0.5) < 1e-9 for v in cs.values)
 
 
+@st.composite
+def _clean_strip_cases(draw):
+    """``(tau, a, b, nodes)`` for a uniform search of [a pi, b pi] on which
+    every zero of Im g(i beta) = -sin(d beta) cos(beta), d = tau - 1, is a
+    simple sign change, alone in its grid cell and off the nodes.
+
+    The space is tau in [0.05, 6] with |d| > 0.05, a in -4..3, b - a in
+    1..4 and nodes = 64 (b - a) ceil|d| + 1 + extra with extra in 0..40.
+    Drawn by construction: a and b are never 0, where beta = 0 is a zero on
+    an end, and extra is drawn among the values that leave the grid clean;
+    only a delay that no extra cleans is rejected.
+    """
+    tau = draw(st.floats(0.05, 0.95, exclude_max=True) | st.floats(1.05, 6.0, exclude_min=True))
+    a = draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3]))
+    b = a + draw(st.sampled_from([w for w in range(1, 5) if a + w != 0]))
+    d = tau - 1.0
+    k0, k1 = sorted((a * d, b * d))
+    zeros = [k * math.pi / d for k in range(math.ceil(k0), math.floor(k1) + 1)]
+    zeros = sorted(zeros + [(j + 0.5) * math.pi for j in range(a, b)])
+
+    def clean(nodes):
+        h = (b - a) * math.pi / (nodes - 1)
+        cells = [(z - a * math.pi) / h for z in zeros]
+        return (
+            all(a * math.pi + h < z < b * math.pi - h for z in zeros)
+            and all(z2 - z1 > 2 * h for z1, z2 in zip(zeros, zeros[1:]))
+            and all(abs(x - round(x)) > 1e-6 for x in cells)
+        )
+
+    base = 64 * (b - a) * max(1, math.ceil(abs(d))) + 1
+    extras = [e for e in range(41) if clean(base + e)]
+    assume(extras)
+    return tau, a, b, base + draw(st.sampled_from(extras))
+
+
 class TestCriticalSetStrip:
     def test_exact_values(self):
         # g(0) = -1 and g(+-2 pi i) = 1 sit on grid nodes of a uniform search
@@ -143,22 +178,9 @@ class TestCriticalSetStrip:
         return out
 
     @settings(max_examples=100, deadline=None)
-    @given(st.floats(0.05, 6.0), st.integers(-4, 3), st.integers(1, 4), st.integers(0, 40))
-    def test_matches_sign_change_search(self, tau, a, width, extra):
-        d = tau - 1.0
-        assume(abs(d) > 0.05)
-        b = a + width
-        nodes = 64 * width * max(1, math.ceil(abs(d))) + 1 + extra
-        h = (b - a) * math.pi / (nodes - 1)
-        # the zeros of Im g(i beta) = -sin(d beta) cos(beta) in the segment
-        k0, k1 = sorted((a * d, b * d))
-        zeros = [k * math.pi / d for k in range(math.ceil(k0), math.floor(k1) + 1)]
-        zeros += [(j + 0.5) * math.pi for j in range(a, b)]
-        zeros = sorted(zeros)
-        # every zero a simple sign change, alone in its grid cell, off the nodes
-        assume(all(a * math.pi + h < z < b * math.pi - h for z in zeros))
-        assume(all(z2 - z1 > 2 * h for z1, z2 in zip(zeros, zeros[1:])))
-        assume(all(abs((z - a * math.pi) / h - round((z - a * math.pi) / h)) > 1e-6 for z in zeros))
+    @given(_clean_strip_cases())
+    def test_matches_sign_change_search(self, case):
+        tau, a, b, nodes = case
         found = self._sign_change_values(tau, a, b, nodes)
         closed = critical_set_strip(tau, a, b).values
         assert all(min(abs(v - c) for c in closed) < 1e-9 for v in found)
