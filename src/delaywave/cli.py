@@ -244,14 +244,17 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     trace = pdesim.simulate(config)
-    _write_csv(args.output, ["t", "E"], list(trace.samples))
-    if args.dump_state:
-        _write_json(args.dump_state, pdesim.state_dict(trace.final_state))
     sysd = DelaySystem(DelayGains(args.c1, args.c2), rat.value, rat)
     s_abs = contour.spectral_abscissa(sysd)
     two_s = None if s_abs == contour.NO_ROOTS else 2.0 * s_abs
     t0, t1 = pdesim.default_fit_window(two_s or 0.0, args.T)
-    rate = pdesim.decay_rate(trace, t0, t1)
+    try:
+        rate = pdesim.decay_rate(trace, t0, t1)
+    except ValueError as exc:
+        raise UsageError(f"{exc}; raise --T or lower --sample-every")
+    _write_csv(args.output, ["t", "E"], list(trace.samples))
+    if args.dump_state:
+        _write_json(args.dump_state, pdesim.state_dict(trace.final_state))
     fitted = None if rate == pdesim.EXTINCT else rate
     gap = None
     if fitted is not None and two_s not in (None, 0.0):

@@ -25,7 +25,9 @@ and a step reads P[N+k] = Q[k] + 2 W[k], W[M+k] = -c1 W[k] - c2 (P[N+k]
 + Q[k])/2, Q[N+k] = -P[k].  P and Q read each other N steps back (2N for
 the wave round trip) and W reads itself M steps back (the delay), so a block
 of min(2N, M) steps runs in lag order as a few numpy ufuncs writing in place,
-on buffers of one state window plus ``_BUFFER_BLOCKS`` blocks, O(N + M).
+on buffers of one state window plus ``_ROOM`` steps or four blocks, O(N + M).
+The energies of each span between two moves of the window are one
+``_energies`` call, the kernel that ``energy`` runs on one state.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .chareq import DelayGains, Rational
 
@@ -180,17 +183,26 @@ def energy(state: SimState) -> float:
     """E = (1/2) int_0^1 (z_x^2 + z_t^2 + w^2) dx by trapezoid quadrature.
 
     With z_x^2 + z_t^2 = (p^2 + q^2)/2 and the rule dx (sum y - (y_first +
-    y_last)/2), E is sums of squares less endpoint squares.  q and w are
-    summed in trace order, where a ``_trace_blocks`` state is a contiguous
-    buffer slice that ``np.dot`` reads in place; it copies a ``step`` state
-    into that order, so both sum the same values in the same order.
-    """
-    p, q, w = state.p, state.q[::-1], state.w[::-1]
-    p0, p1 = p.item(0), p.item(-1)
-    q0, q1 = q.item(0), q.item(-1)
-    w0, w1 = w.item(0), w.item(-1)
-    wave = (np.dot(p, p) + np.dot(q, q) - 0.5 * (p0 * p0 + p1 * p1 + q0 * q0 + q1 * q1)) / (p.size - 1)
-    delay = (np.dot(w, w) - 0.5 * (w0 * w0 + w1 * w1)) / (w.size - 1)
+    y_last)/2), E is sums of squares less endpoint squares, summed by
+    ``_energies`` over contiguous trace-order copies of q and w: the rows it
+    sums for ``simulate``, so a ``step`` state and a simulated one give the
+    same bits on any numpy."""
+    p, q, w = (np.ascontiguousarray(a) for a in (state.p, state.q[::-1], state.w[::-1]))
+    return float(_energies(p, q, w, 0, 1, 1, p.size - 1, w.size - 1)[0])
+
+
+def _energies(P, Q, W, i0, count, stride, N, M) -> np.ndarray:
+    """``energy`` of the ``count`` states whose windows of N + 1, N + 1 and
+    M + 1 nodes start at positions i0, i0 + stride, ... of the contiguous
+    trace-order P, Q, W: read-only strided rows, each sum of squares a
+    one-row ``matmul`` (``np.dot``'s BLAS dot; ``np.vecdot`` needs numpy 2),
+    the endpoint terms in the scalar rule's operation order."""
+    p, q, w = (as_strided(a[i0:], (count, n + 1), (stride * a.itemsize, a.itemsize), writeable=False)
+               for a, n in ((P, N), (Q, N), (W, M)))
+    pp, qq, ww = ((v[:, None, :] @ v[:, :, None])[:, 0, 0] for v in (p, q, w))
+    ends = p[:, 0] * p[:, 0] + p[:, -1] * p[:, -1] + q[:, 0] * q[:, 0] + q[:, -1] * q[:, -1]
+    wave = (pp + qq - 0.5 * ends) / N
+    delay = (ww - 0.5 * (w[:, 0] * w[:, 0] + w[:, -1] * w[:, -1])) / M
     return 0.25 * wave + 0.5 * delay
 
 
@@ -212,17 +224,19 @@ def step(state: SimState, config: SimConfig) -> SimState:
     return SimState(p, q, w, state.step_index + 1, state.dt)
 
 
-# Trace buffers hold the state window plus this many blocks, so the window
-# is moved back once every few blocks instead of after each one: a simulate
-# benchmark round took 0.0514 reference s with one block, 0.0492 with four.
-_BUFFER_BLOCKS = 4
+# Trace buffers hold the state window plus room for max(4 blocks, _ROOM)
+# steps, and a span's energies are one call.  Best of 15 in-process runs of
+# the simulate workload's 11 configurations (2-vCPU VM): 21.9 ms with 4
+# blocks, 15.5 / 14.3 / 15.5 / 17.5 ms at _ROOM = 2^13 / 2^14 / 2^15 / 2^16.
+# 2^13 keeps the benchmark's peak RSS within 3% of 4 blocks (2^14: +3.6%).
+_ROOM = 2 ** 13
 
 
 def _trace_blocks(config: SimConfig, steps: int):
-    """Yield ``(k, b, state_at, p1, w1)`` for step 0, then per block of steps
-    k..k+b-1; ``state_at(s)`` views the state at step s of it (at ``steps``
-    once done), and ``p1``, ``w1`` view the traces p(1), w(1) at its steps,
-    valid until the next yield.
+    """Yield ``(k, P, Q, W)`` once per span of steps k..k + P.size - N - 1:
+    views of the trace buffers in which the state at step k + j is P[j:j+N+1],
+    Q[j:j+N+1][::-1] and W[j:j+M+1][::-1], valid until the next yield.  The
+    first span starts at step 0, the last ends at ``steps``.
 
     A block has b = min(2N, M) steps, the last one fewer, computed in lag
     order: p(1) at its first min(b, N) steps (reading q(0) N and w(0) M
@@ -230,22 +244,20 @@ def _trace_blocks(config: SimConfig, steps: int):
     back, where b > N some from the first part), p(1) at the other steps
     (reading that q(0)), then w(0).  Each ufunc writes through ``out=``
     into the buffers or two work arrays of one block.  Once the next block
-    would not fit in the buffers, the window of step k - 1 moves to their
-    start.
+    would not fit in the buffers' room of max(4b, ``_ROOM``) steps, the span
+    is yielded and the window of step k - 1 moves to their start, so every
+    span but the last is whole blocks.
     """
     st = init(config)
-    N, M, dt = config.wave_cells, config.transport_cells, config.dt
+    N, M = config.wave_cells, config.transport_cells
     c1, c2 = config.gains.c1, config.gains.c2
     B = min(2 * N, M)
-    room = _BUFFER_BLOCKS * B
+    room = max(4 * B, _ROOM)
     P, Q, W = np.empty(N + 1 + room), np.empty(N + 1 + room), np.empty(M + 1 + room)
     t1, t2 = np.empty(B), np.empty(B)
     P[:N + 1], Q[:N + 1], W[:M + 1] = st.p, st.q[::-1], st.w[::-1]
     o = 0  # buffer position i holds trace index o + i
-
-    def state_at(s: int) -> SimState:
-        i = s - o
-        return SimState(P[i:i + N + 1], Q[i:i + N + 1][::-1], W[i:i + M + 1][::-1], s, dt)
+    k0 = 0  # first step of the span
 
     def p_out(lo: int, hi: int) -> None:
         # p(1) = q(0) + 2 w(1) at trace positions lo..hi-1 of q and w
@@ -253,14 +265,16 @@ def _trace_blocks(config: SimConfig, steps: int):
         np.multiply(W[lo:hi], 2.0, out=t)
         np.add(Q[lo:hi], t, out=P[N + lo:N + hi])
 
-    yield 0, 1, state_at, P[N:N + 1], W[:1]
     k = 1
-    while k <= steps:
+    while True:
         b = min(B, steps - k + 1)
-        if k - o + b > room + 1:
-            j = k - 1 - o
-            P[:N + 1], Q[:N + 1], W[:M + 1] = P[j:j + N + 1], Q[j:j + N + 1], W[j:j + M + 1]
-            o = k - 1
+        if b <= 0 or k - o + b > room + 1:
+            i, j = k0 - o, k - o
+            yield k0, P[i:N + j], Q[i:N + j], W[i:M + j]
+            if b <= 0:
+                return
+            P[:N + 1], Q[:N + 1], W[:M + 1] = P[j - 1:N + j], Q[j - 1:N + j], W[j - 1:M + j]
+            o, k0 = k - 1, k
         i = k - o
         p_out(i, i + min(b, N))
         np.negative(P[i:i + b], out=Q[N + i:N + i + b])
@@ -271,19 +285,28 @@ def _trace_blocks(config: SimConfig, steps: int):
         np.add(P[N + i:N + i + b], Q[i:i + b], out=v)
         np.multiply(v, c2 * 0.5, out=v)
         np.subtract(u, v, out=W[M + i:M + i + b])
-        yield k, b, state_at, P[N + i:N + i + b], W[i:i + b]
         k += b
 
 
 def simulate(config: SimConfig) -> EnergyTrace:
-    """Run to t_final, sampling the energy every ``sample_every`` time units."""
-    stride = int(round(config.sample_every / config.dt))
-    steps = int(round(config.t_final / config.dt))
+    """Run to t_final, sampling the energy every ``sample_every`` time units
+    by one ``_energies`` call per span of ``_trace_blocks``; raises
+    FloatingPointError at the first energy that overflowed."""
+    N, M, dt = config.wave_cells, config.transport_cells, config.dt
+    stride = int(round(config.sample_every / dt))
+    steps = int(round(config.t_final / dt))
     samples: List[Tuple[float, float]] = []
-    for k, b, state_at, _, _ in _trace_blocks(config, steps):
-        for s in range(-(-k // stride) * stride, k + b, stride):
-            samples.append((s * config.dt, energy(state_at(s))))
-    return EnergyTrace(tuple(samples), state_at(steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, P, Q, W in _trace_blocks(config, steps):
+            at = range(-(-k // stride) * stride, k + P.size - N, stride)
+            E = _energies(P, Q, W, at.start - k, len(at), stride, N, M)
+            finite = np.isfinite(E)
+            if not finite.all():
+                t = at[finite.argmin()] * dt
+                raise FloatingPointError(f"energy at t = {t:g} is not finite: the state overflowed")
+            samples += zip([s * dt for s in at], E.tolist())
+    final = SimState(P[-N - 1:], Q[-N - 1:][::-1], W[-M - 1:][::-1], steps, dt)
+    return EnergyTrace(tuple(samples), final)
 
 
 def state_dict(state: SimState) -> dict:
@@ -306,7 +329,7 @@ def decay_rate(trace: EnergyTrace, t_start: float, t_end: float) -> float:
     """
     window = [(t, e) for t, e in trace.samples if t_start <= t <= t_end]
     if len(window) < 2:
-        raise ValueError("fit window contains fewer than two samples")
+        raise ValueError(f"fit window [{t_start:g}, {t_end:g}] contains fewer than two samples")
     if any(e == 0.0 for _, e in window):
         return EXTINCT
     t = np.array([a for a, _ in window])
@@ -322,10 +345,11 @@ def default_fit_window(rate_guess: float, t_final: float) -> Tuple[float, float]
 
 def boundary_trace_recursion(config: SimConfig, t_final: float):
     """Boundary traces P(t) = p(1, t), W(t) = w(1, t) on the exact dt grid,
-    copied block by block from the simulator's trace buffers."""
+    copied span by span from the simulator's trace buffers."""
+    N, M = config.wave_cells, config.transport_cells
     n_steps = int(round(t_final / config.dt))
     P, W = [], []
-    for _, _, _, p1, w1 in _trace_blocks(config, n_steps):
-        P.append(p1.copy())
-        W.append(w1.copy())
+    for _, p, _, w in _trace_blocks(config, n_steps):
+        P.append(p[N:].copy())
+        W.append(w[:w.size - M].copy())
     return np.arange(n_steps + 1) * config.dt, np.concatenate(P), np.concatenate(W)

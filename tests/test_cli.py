@@ -287,6 +287,17 @@ class TestSimulate:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 6
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_a_numerical_failure(self, capsys, tmp_path):
+        # unstable at 41/20: the energy passes 1e308 near t = 1773, before the horizon
+        trace_path, state_path = tmp_path / "energy.csv", tmp_path / "state.json"
+        code, out, err = run(
+            capsys, "simulate", "--tau", "41/20", "--c1", "-0.25", "--c2", "-0.25",
+            "--K", "20", "--T", "2000", "--output", str(trace_path), "--dump-state", str(state_path),
+        )
+        assert code == 2 and "numerical failure: FloatingPointError: energy at t = " in err
+        assert out == "" and not trace_path.exists() and not state_path.exists()
+
     def test_unknown_ic_usage_error(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--tau", "2/1", "--c1", "0", "--c2", "0", "--ic", "wavey",
@@ -364,6 +375,8 @@ class TestBadInput:
             SIM + ("--K", "0"),
             SIM + ("--T", "0"),
             SIM + ("--sample-every", "0.7", "--K", "3"),
+            ("simulate", "--tau", "2/1", "--c1", "-0.2", "--c2", "-0.2", "--K", "10", "--T", "1.5"),
+            ("simulate", "--tau", "2/1", "--c1", "-0.2", "--c2", "-0.2", "--K", "1", "--T", "0.4"),
             ("simulate", "--tau", "0/1", "--c1", "0", "--c2", "0"),
             ("region", "--tau", "2/0"),
             ("region", "--tau", "abc"),

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -131,15 +132,27 @@ class TestEnergyQuadrature:
         assert energy(contiguous) == energy(as_traced)
 
     def test_one_energy_call_per_sample(self, monkeypatch):
-        calls = []
+        kernel, calls = pdesim._energies, []
 
-        def counting(state):
-            calls.append(state.step_index)
-            return energy(state)
+        def counting(P, Q, W, i0, count, stride, N, M):
+            calls.append(count)
+            return kernel(P, Q, W, i0, count, stride, N, M)
 
-        monkeypatch.setattr(pdesim, "energy", counting)
+        def per_state(state):
+            raise AssertionError("simulate samples through _energies alone")
+
+        monkeypatch.setattr(pdesim, "_energies", counting)
+        monkeypatch.setattr(pdesim, "energy", per_state)
         trace = simulate(config(3, 2, -0.3, 0.2, K=6, T=10.0, sample_every=0.5))
-        assert len(calls) == len(trace.samples) == 21
+        assert calls == [len(trace.samples)] == [21]
+        # 24000 steps: three spans, each sample's energy computed exactly once
+        calls.clear()
+        cfg = config(3, 2, -0.3, 0.2, K=6, T=2000.0, sample_every=0.5)
+        trace = simulate(cfg)
+        spans = list(pdesim._trace_blocks(cfg, 24000))
+        assert len(calls) == len(spans) == 3
+        assert sum(calls) == len(trace.samples) == 4001
+        assert [t for t, _ in trace.samples] == [0.5 * s for s in range(4001)]
 
 
 # ---------------------------------------------------------------- stepping
@@ -278,6 +291,9 @@ class TestBlockRecursion:
             (3, 2, -0.25, 0.15, 3, 9.0, 1.0),  # N < b = M < 2N
             (3, 2, -0.3, 0.2, 2, 14.25, 0.25),  # 57 steps: two buffer wraps, then 3 steps
             (9, 1, 0.2, -0.3, 2, 20.5, 0.5),  # the w window moved back onto itself, twice
+            (2, 1, -0.25, -0.25, 10, 2000.0, 1.0),  # 20000 steps in three spans, a sample on span 1's last step
+            (1, 1, 0.5, 0.5, 1, 50000.0, 20000.0),  # samples further apart than a span, and a last span with none
+            (2, 1, -0.2, -0.2, 1, 0.4, 1.0),  # no steps: one sample at t = 0 and the initial state
         ],
     )
     def test_matches_stepper(self, m, n, c1, c2, K, T, every):
@@ -295,15 +311,25 @@ class TestBlockRecursion:
         assert len(times) == len(p1) and np.array_equal(P, p1) and np.array_equal(W, w1)
 
     @pytest.mark.parametrize(
-        "m,n,K,steps", [(1, 5, 4, 37), (2, 1, 5, 36), (4, 1, 4, 40), (5, 2, 2, 43), (3, 2, 3, 54), (9, 1, 2, 41)]
+        "m,n,K,steps",
+        [(1, 5, 4, 37), (2, 1, 5, 36), (4, 1, 4, 40), (5, 2, 2, 43), (3, 2, 3, 54), (9, 1, 2, 41),
+         (2, 1, 3, 0), (2, 1, 10, 40000), (2, 1, 10, 24540), (2, 1, 2100, 20000)],
     )
     def test_blocks_of_min_2N_M_steps(self, m, n, K, steps):
         cfg = config(m, n, 0.2, -0.1, K=K)
-        B = min(2 * cfg.wave_cells, cfg.transport_cells)
-        blocks = [(k, b) for k, b, *_ in pdesim._trace_blocks(cfg, steps)][1:]
-        assert len(blocks) == -(-steps // B)
-        assert [k for k, _ in blocks] == list(range(1, steps + 1, B))
-        assert sum(b for _, b in blocks) == steps
+        N, M = cfg.wave_cells, cfg.transport_cells
+        B = min(2 * N, M)
+        room = max(4 * B, pdesim._ROOM)
+        spans = []
+        for k, P, Q, W in pdesim._trace_blocks(cfg, steps):
+            assert P.size - N == Q.size - N == W.size - M
+            spans.append((k, P.size - N))
+        # the spans tile steps 0..steps, the first one holding step 0 too
+        assert [k for k, _ in spans] == [0] + list(itertools.accumulate(b for _, b in spans[:-1]))
+        assert sum(b for _, b in spans) == steps + 1
+        computed = [b - (k == 0) for k, b in spans]
+        assert all(c <= room for c in computed)
+        assert all(c > 0 and c % B == 0 for c in computed[:-1])
 
     def test_extinction_zeros_kept(self):
         cfg = config(2, 1, -0.5, -0.5, K=10, T=10.0)
