@@ -1,26 +1,27 @@
 """Argument-principle counting, root isolation and refinement in the lam-plane.
 
 Every winding number comes from one argument tracker, which follows many
-closed paths t in [0, 1] -> z at once: the four edges of a rectangle, a
-quarter of t each, or the unit circle exp(2 pi i t).  The samples of all
-paths sit in flat arrays tagged with their path, so each tracking pass is
-one evaluation of the function.  A step settles only when it turns by less
-than pi/2 and so do both its halves at its midpoint, which pins the branch
-of the argument and refines a coarse step that hides a turn one of its
-halves shows.  A step that fails is cut, at its midpoint and, if it turns
-by pi/2 or more itself, where its chord passes closest to 0, so a zero on
-the path is met within a few passes.  Each path is tracked once, from a
-uniform grid; the first check evaluates its samples and the midpoints
-between them in one call.  An :class:`ExpSum` is tracked as it is
+paths t in [0, 1] -> z at once and adds their turns up by closed contour:
+the four straight edges of a rectangle, or the unit circle exp(2 pi i t).
+The samples of all paths sit in flat arrays tagged with their path, so
+each tracking pass is one evaluation of the function.  A step settles only
+when it turns by less than pi/2 and so do both its halves at its midpoint,
+which pins the branch of the argument and refines a coarse step that hides
+a turn one of its halves shows.  A step that fails is cut, at its midpoint
+and, if it turns by pi/2 or more itself, where its chord passes closest to
+0, so a zero on the path is met within a few passes.  Each path is tracked
+once, from a uniform grid; the first check evaluates its samples and the
+midpoints between them in one call.  An :class:`ExpSum` is tracked as it is
 evaluated, and the size of its terms, against which a contact is judged,
-is computed only at the few samples near a zero.  Since the tracked functions are analytic,
-the winding equals the number of enclosed zeros counted with multiplicity.
-A path that touches a zero gets its own :class:`OnContourZero` and leaves
-the other paths of its batch alone; a rectangle the caller may move is
-dilated by fixed steps and retried under one policy,
-``_winding_with_retries``.  Every rectangle winding of an :class:`ExpSum`
-takes its initial density from one place, ``_sample_hint``, which also
-refuses a side beyond the phase budget.
+is computed only at the few samples near a zero.  Since the tracked
+functions are analytic, the winding equals the number of enclosed zeros
+counted with multiplicity.  A contour that touches a zero on any of its
+paths gets its own :class:`OnContourZero` and leaves the other contours of
+its batch alone; a rectangle the caller may move is dilated by fixed steps
+and retried under one policy, ``_winding_with_retries``.  Every rectangle
+winding starts each edge from the density of that edge's own length, set
+in one place, ``_sample_hint``, which also refuses an edge beyond the phase
+budget.
 
 Root isolation splits level by level: a box of winding k is cut into
 max(2, k) slabs, and the slabs of every box of a level are wound in one
@@ -71,9 +72,9 @@ NO_ROOTS = float("-inf")
 _ZERO_TOL = 1e-12
 # depth cap of the splitting of root isolation
 _MAX_DEPTH = 60
-# a rectangle side along which the fastest ExpSum term turns its phase by more
-# than this is refused (a batch of the strip scan turns it by no more in all):
-# the samples a winding needs there run to hundreds of MB
+# a rectangle edge along which the fastest ExpSum term turns its phase by more
+# than this is refused (the left edges of a batch of the strip scan turn it by
+# no more in all): the samples a winding needs there run to hundreds of MB
 _MAX_PHASE = 2e5
 # count_in_disk refuses a winding from more samples than this: its first check
 # evaluates twice as many in one call (175 MB of process memory at the cap)
@@ -136,11 +137,13 @@ class RootRecord:
     multiplicity: int
 
 
-def _track(func, path, n):
-    """Total change of arg func along each of the closed paths ``path(p, t)``,
-    t from 0 to 1, p = 0 .. len(n) - 1, each from ``n[p]`` uniform samples.
+def _track(func, path, n, per):
+    """Total change of arg func along each of the contours made of the paths
+    ``path(p, t)``, t from 0 to 1, p = 0 .. len(n) - 1, each path from
+    ``n[p]`` uniform samples: path p belongs to contour p // ``per``, and the
+    paths of a contour run end to end.
 
-    A step settles, and its turn is added to its path's total, only when it
+    A step settles, and its turn is added to its contour's total, only when it
     turns by less than pi/2 and so do both of its halves at its midpoint, so
     a coarse step that hides a turn one of its halves shows is refined.  A
     step that fails is replaced by its pieces, which go through the same
@@ -156,27 +159,28 @@ def _track(func, path, n):
     just off the path it falls at the foot of the perpendicular, where
     |func| is as large as the distance allows.
 
-    Returns ``(total, why)``: ``why`` maps each path that met a contact (see
-    :func:`_contacts`), or was still open after ``_MAX_PASS`` passes, to the
-    reason; ``total`` holds the change of arg along every other path.
+    Returns ``(total, why)``: ``why`` maps each contour that met a contact
+    (see :func:`_contacts`), or had a step still open after ``_MAX_PASS``
+    passes, to the reason; ``total`` holds the change of arg along every
+    other contour.
     """
-    why, half = {}, 0.5 * np.pi
+    why, half, m = {}, 0.5 * np.pi, n.size // per
     pid, t = _grid(2 * n - 1)
     # step j of path p starts at 2 (j + s - p) + p of the finer grid, where s
     # counts the samples before path p
     i = 2 * np.arange(n.sum() - n.size) + np.arange(n.size).repeat(n - 1)
     z = path(pid, t)
     w = func(z)
-    open_ = _contacts(why, func, z, pid, w, n.size)
+    open_ = _contacts(why, func, z, pid // per, w, m)
     if open_ is not None:
-        # a path in contact is out of the count: its samples settle at once
-        w[~open_[pid]] = 1.0
+        # a contour in contact is out of the count: its samples settle at once
+        w[~open_[pid // per]] = 1.0
     h = _turn(w[:-1], w[1:])
     h1, h2 = h[i], h[i + 1]
     dphi = h1 + h2
     ok = (np.abs(h1) < half) & (np.abs(h2) < half) & (np.abs(dphi) < half)
-    total = np.zeros(n.size)
-    total += np.bincount(pid[i][ok], dphi[ok], n.size)
+    total = np.zeros(m)
+    total += np.bincount(pid[i][ok] // per, dphi[ok], m)
     i = np.concatenate((i[~ok], i[~ok] + 1))
     ta, tb, wa, wb, sp, dphi = t[i], t[i + 1], w[i], w[i + 1], pid[i], h[i]
     for _ in range(_MAX_PASS):
@@ -191,9 +195,9 @@ def _track(func, path, n):
         wn = func(z)
         w1, w2 = wn[:sp.size], wn[:sp.size].copy()
         w2[big] = wn[sp.size:]
-        open_ = _contacts(why, func, z, s2, wn, n.size)
+        open_ = _contacts(why, func, z, s2 // per, wn, m)
         if open_ is not None:
-            keep = open_[sp]
+            keep = open_[sp // per]
             ta, tb, t1, t2, wa, wb, w1, w2 = (x[keep] for x in (ta, tb, t1, t2, wa, wb, w1, w2))
             sp, dphi, big = sp[keep], dphi[keep], big[keep]
         # the pieces: every step's left and right one (a midpoint check's
@@ -203,12 +207,12 @@ def _track(func, path, n):
         wa, wb = np.concatenate((wa, w2, w1[big])), np.concatenate((w1, wb, w2[big]))
         h = _turn(wa, wb)
         ok = ~big & (np.abs(h[:k]) < half) & (np.abs(h[k:2 * k]) < half)
-        total += np.bincount(sp[ok], dphi[ok], n.size)
+        total += np.bincount(sp[ok] // per, dphi[ok], m)
         keep = np.concatenate((~ok, ~ok, np.ones(ta.size - 2 * k, dtype=bool)))
         ta, tb, wa, wb, dphi = ta[keep], tb[keep], wa[keep], wb[keep], h[keep]
         sp = np.concatenate((sp, sp, sp[big]))[keep]
-    for p in set(sp.tolist()):
-        why.setdefault(p, "argument tracking did not settle (zero very near contour)")
+    for c in set((sp // per).tolist()):
+        why.setdefault(c, "argument tracking did not settle (zero very near contour)")
     return total, why
 
 
@@ -227,10 +231,10 @@ def _chord_cut(wa, wb):
     return np.where(np.isfinite(s), np.clip(s, 0.0, 1.0), 0.5)
 
 
-def _contacts(why, func, z, pid, w, npaths):
-    """Record in ``why`` every path with a contact among the samples ``w =
-    func(z)``.  Returns None if there is none, else the mask of the paths
-    ``why`` does not name.
+def _contacts(why, func, z, cid, w, m):
+    """Record in ``why`` every contour with a contact among the samples ``w =
+    func(z)``, sample j on contour ``cid[j]``.  Returns None if there is
+    none, else the mask of the ``m`` contours ``why`` does not name.
 
     A sample is a contact when |w| < ``_ZERO_TOL``, for an :class:`ExpSum`
     when |w| < ``_ZERO_TOL`` max(1, magnitude): far from the imaginary axis
@@ -244,9 +248,9 @@ def _contacts(why, func, z, pid, w, npaths):
         low[c] = np.abs(w[c] / np.maximum(func.magnitude(z[c]), 1.0)) < _ZERO_TOL
     if not low.any():
         return None
-    for p in set(pid[low].tolist()):
-        why.setdefault(p, "|func| below tolerance on contour")
-    open_ = np.ones(npaths, dtype=bool)
+    for c in set(cid[low].tolist()):
+        why.setdefault(c, "|func| below tolerance on contour")
+    open_ = np.ones(m, dtype=bool)
     open_[list(why)] = False
     return open_
 
@@ -278,27 +282,28 @@ def _grid(n):
     return pid, t
 
 
-def _windings(func, path, n):
-    """Winding numbers of ``func`` around 0 along the closed paths
-    ``path(p, t)``, p = 0 .. len(n) - 1, in one batch: :func:`_track` from
-    ``n[p]`` uniform samples of path p, once.  An :class:`ExpSum` is tracked
-    as it is evaluated, rescaled or not, as a positive factor changes no
-    argument; its contacts are judged relative to the size of its terms.
+def _windings(func, path, n, per):
+    """Winding numbers of ``func`` around 0 along the closed contours of
+    :func:`_track` (path p, from ``n[p]`` uniform samples, on contour
+    p // ``per``), in one batch.  An :class:`ExpSum` is tracked as it is
+    evaluated, rescaled or not, as a positive factor changes no argument;
+    its contacts are judged relative to the size of its terms.
 
-    Returns ``(k, why)``: ``why`` maps each path that touched a zero, did
-    not settle or gave a non-integer count to the message of its
-    :class:`OnContourZero`; ``k[p]`` is the winding number of every other
-    path.  One path's failure leaves the others' counts as they are.
+    Returns ``(k, why)``: ``why`` maps each contour that touched a zero on
+    any of its paths, did not settle or gave a non-integer count to the
+    message of its :class:`OnContourZero`; ``k[c]`` is the winding number
+    of every other contour.  One contour's failure leaves the others' counts
+    as they are.
     """
-    total, why = _track(func, path, np.asarray(n))
+    total, why = _track(func, path, np.asarray(n), per)
     k = [0] * len(total)
-    for p, x in enumerate((total / (2.0 * np.pi)).tolist()):
-        if p in why:
+    for c, x in enumerate((total / (2.0 * np.pi)).tolist()):
+        if c in why:
             continue
         if math.isfinite(x) and abs(x - round(x)) <= 0.25:
-            k[p] = round(x)
+            k[c] = round(x)
         else:
-            why[p] = f"non-integer winding {x:.3f}"
+            why[c] = f"non-integer winding {x:.3f}"
     return k, why
 
 
@@ -308,31 +313,32 @@ _CORNER_RE = np.array([0, 1, 1, 0, 0])
 _CORNER_IM = np.array([2, 2, 3, 3, 2])
 
 
-def _rect_windings(func, box, n0):
-    """:func:`_windings` along the boundaries of the rectangles ``box[p] =
-    (re_min, re_max, im_min, im_max)``, counter-clockwise, one edge per
-    quarter of t, each edge from ``n0[p]`` samples."""
+def _edges(box):
+    """The edges of the rectangles ``box[p] = (re_min, re_max, im_min,
+    im_max)`` as straight paths: edge e = 4 p + j of box p, j = 0 .. 3, runs
+    counter-clockwise from (re_min, im_min).  Returns ``(path, length)``,
+    with ``path(e, t)`` the point at t in [0, 1] along edge e and
+    ``length[e]`` its length."""
     box = np.asarray(box, dtype=float)
     corners = np.empty((len(box), 5), dtype=complex)
     corners.real = box.take(_CORNER_RE, 1)
     corners.imag = box.take(_CORNER_IM, 1)
-    corners = corners.ravel()
-    sides = corners[1:] - corners[:-1]
+    start = corners[:, :4].ravel()
+    side = (corners[:, 1:] - corners[:, :4]).ravel()
+    return (lambda e, t: start[e] + side[e] * t), np.abs(side)
 
-    def path(pid, t):
-        # few temporaries at once: a first check can evaluate a million samples
-        s = 4.0 * t
-        edge = np.minimum(s.astype(int), 3)
-        s -= edge
-        at = 5 * pid + edge
-        del edge
-        return corners[at] + sides[at] * s
 
-    return _windings(func, path, 4 * np.asarray(n0) - 3)
+def _rect_windings(func, box):
+    """:func:`_windings` along the boundaries of the rectangles ``box[p] =
+    (re_min, re_max, im_min, im_max)``, counter-clockwise: the four paths of
+    :func:`_edges` per box, each from :func:`_sample_hint` of its own
+    length."""
+    path, length = _edges(box)
+    return _windings(func, path, _sample_hint(func, length), 4)
 
 
 def _single(result) -> int:
-    """The count of a one-path batch, or its :class:`OnContourZero`."""
+    """The count of a one-contour batch, or its :class:`OnContourZero`."""
     k, why = result
     if why:
         raise OnContourZero(why[0])
@@ -344,29 +350,26 @@ def winding_rect(func: Callable[[np.ndarray], np.ndarray], rect: ComplexRect) ->
 
     ``func`` must accept complex ndarrays.  Equals the number of zeros of an
     analytic ``func`` inside the rectangle, counted with multiplicity.  Each
-    edge starts from 17 samples, an :class:`ExpSum`'s from
-    :func:`_sample_hint` of the longer side, and :func:`_track` refines a
-    step until it and both its halves turn by less than pi/2.  Raises
-    :class:`OnContourZero` when a sample of |func| drops below
-    ``_ZERO_TOL``, for an :class:`ExpSum` times the size of its terms there
-    (at least 1, computed only where |func| is small: see :func:`_contacts`);
-    the caller should perturb the rectangle and retry.  An
-    :class:`ExpSum` whose phase turns by more than ``_MAX_PHASE`` along a
-    side raises ValueError.
+    edge starts from :func:`_sample_hint` of its own length, and
+    :func:`_track` refines a step until it and both its halves turn by less
+    than pi/2.  Raises :class:`OnContourZero` when a sample of |func| drops
+    below ``_ZERO_TOL``, for an :class:`ExpSum` times the size of its terms
+    there (at least 1, computed only where |func| is small: see
+    :func:`_contacts`); the caller should perturb the rectangle and retry.
+    An :class:`ExpSum` whose phase turns by more than ``_MAX_PHASE`` along
+    an edge raises ValueError.
     """
-    span = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
-    n0 = int(_sample_hint(func, span)) if isinstance(func, ExpSum) else 17
-    box = [(rect.re_min, rect.re_max, rect.im_min, rect.im_max)]
-    return _single(_rect_windings(func, box, [n0]))
+    return _single(_rect_windings(func, [(rect.re_min, rect.re_max, rect.im_min, rect.im_max)]))
 
 
-def _sample_hint(es: ExpSum, span):
-    """Initial edge density of rectangles whose longer sides are ``span``,
-    matched to the fastest phase rotation of ``es``.  Raises ValueError
-    where the phase turns by more than ``_MAX_PHASE``."""
-    if not es.rates:
-        return np.full(np.shape(span), 17)
-    phase = max(abs(a) for a in es.rates) * np.asarray(span)
+def _sample_hint(func, length):
+    """Initial densities of edges of ``length``: for an :class:`ExpSum` the
+    phase its fastest term turns along the edge, clipped to 17 .. 20001
+    samples, else 17.  Raises ValueError where the phase turns by more than
+    ``_MAX_PHASE``."""
+    if not isinstance(func, ExpSum) or not func.rates:
+        return np.full(np.shape(length), 17)
+    phase = max(abs(a) for a in func.rates) * np.asarray(length)
     if np.any(phase > _MAX_PHASE):
         raise ValueError(
             f"a rectangle side turns the phase by {np.max(phase):.3g} > {_MAX_PHASE:.0e}, "
@@ -396,7 +399,7 @@ def count_in_disk(p) -> int:
     def on_circle(t):
         return sum(a * np.exp(2j * np.pi * k * t) for k, a in terms.items())
 
-    return _single(_windings(on_circle, lambda pid, t: t, [samples]))
+    return _single(_windings(on_circle, lambda pid, t: t, [samples], 1))
 
 
 def count_in_strip(sys: DelaySystem, a: int, b: int) -> int:
@@ -501,11 +504,7 @@ def _winding_with_retries(func, rect) -> tuple:
 _SPLIT_FRACS = (0.5, 0.53, 0.46, 0.57, 0.42, 0.61, 0.38, 0.65, 0.35)
 
 
-def isolate_and_refine(
-    sys: DelaySystem,
-    rect: ComplexRect,
-    max_depth: int = _MAX_DEPTH,
-) -> List[RootRecord]:
+def isolate_and_refine(sys: DelaySystem, rect: ComplexRect) -> List[RootRecord]:
     """Locate every characteristic root of ``sys`` inside ``rect``.
 
     Rectangles are split into slabs, one level at a time, until each piece
@@ -521,7 +520,7 @@ def isolate_and_refine(
     func = char_expsum(sys)
     dfunc = func.derivative()
     k, rect = _winding_with_retries(func, rect)
-    out = _isolate(func, dfunc, rect, k, max_depth)
+    out = _isolate(func, dfunc, rect, k)
     out.sort(key=lambda r: (r.lam.imag, r.lam.real))
     return out
 
@@ -570,7 +569,7 @@ def _root_in(func, dfunc, rect, k) -> Optional[RootRecord]:
     return None
 
 
-def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
+def _isolate(func, dfunc, rect, k) -> List[RootRecord]:
     """The roots in ``rect`` (winding ``k``), by splitting level by level.
 
     Each round first tries :func:`_root_in` on every new box, keeping the
@@ -595,7 +594,7 @@ def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
                     f"winding {k} in a box of diameter {rect.diag:.1e}; "
                     "roots of this family have multiplicity at most two"
                 )
-            elif depth >= max_depth:
+            elif depth >= _MAX_DEPTH:
                 raise MaxDepthExceeded(f"bisection depth {depth} reached at {rect}")
             else:
                 splits.append((rect, k, depth, 0))
@@ -603,8 +602,7 @@ def _isolate(func, dfunc, rect, k, max_depth) -> List[RootRecord]:
         if not splits:
             continue
         slabs = _slabs(splits)
-        span = np.maximum(slabs[:, 1] - slabs[:, 0], slabs[:, 3] - slabs[:, 2])
-        kk, lost = _rect_windings(func, slabs, _sample_hint(func, span))
+        kk, lost = _rect_windings(func, slabs)
         slabs, retry, at = slabs.tolist(), [], 0
         for rect, k, depth, frac in splits:
             mine = range(at, at + max(2, k))
@@ -678,12 +676,12 @@ def _first_unstable_root(sys: DelaySystem, height: float, floor: float) -> tuple
 
     Batches of 8 boxes [-1e-9, re_bound] x [a - 1e-9, a + h] are wound up
     from 0 and read in order; h is the base step max(pi, re_bound), then
-    1/8 of the height scanned, as long as the 8 boxes turn the phase by at
-    most ``_MAX_PHASE`` in all, so memory does not grow with the height.  A
-    taller box with a root or a contact is scanned again in boxes of 1/8
-    its height; a base-step one goes to :func:`_isolate` (after
-    :func:`_winding_with_retries` on a contact); the scan goes on past a
-    box whose roots all lie below ``floor``.
+    1/8 of the height scanned, as long as the left edges of the 8 boxes
+    turn the phase by at most ``_MAX_PHASE`` in all, so memory does not grow
+    with the height.  A taller box with a root or a contact is scanned again
+    in boxes of 1/8 its height; a base-step one goes to :func:`_isolate`
+    (after :func:`_winding_with_retries` on a contact); the scan goes on
+    past a box whose roots all lie below ``floor``.
     """
     reb = re_bound(sys)
     func = char_expsum(sys)
@@ -695,7 +693,7 @@ def _first_unstable_root(sys: DelaySystem, height: float, floor: float) -> tuple
         """The root sought in ``size`` boxes of ``k`` steps from ``j`` steps up, or None."""
         los = [a for a in range(j, j + k * size, k) if height - a * step >= 1e-9]
         box = [(-1e-9, reb, a * step - 1e-9, min((a + k) * step, height)) for a in los]
-        kk, lost = _rect_windings(func, box, _sample_hint(func, np.full(len(box), k * step)))
+        kk, lost = _rect_windings(func, box)
         for i, a in enumerate(los):
             if not kk[i] and i not in lost:
                 continue
@@ -704,7 +702,7 @@ def _first_unstable_root(sys: DelaySystem, height: float, floor: float) -> tuple
             else:
                 rect = ComplexRect(*box[i])
                 w, rect = _winding_with_retries(func, rect) if i in lost else (kk[i], rect)
-                cands = [r.lam for r in _isolate(func, func.derivative(), rect, w, _MAX_DEPTH) if r.lam.real >= floor]
+                cands = [r.lam for r in _isolate(func, func.derivative(), rect, w) if r.lam.real >= floor]
                 lam = min(cands, key=lambda z: abs(z.imag), default=None)
             if lam is not None:
                 return lam

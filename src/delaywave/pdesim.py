@@ -33,7 +33,7 @@ The energies of each span between two moves of the window are one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -162,7 +162,7 @@ class SimState:
 @dataclass(frozen=True)
 class EnergyTrace:
     samples: Tuple[Tuple[float, float], ...]
-    final_state: Optional[SimState] = None
+    final_state: SimState
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         t = np.array([s[0] for s in self.samples])

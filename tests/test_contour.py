@@ -22,7 +22,6 @@ from delaywave.contour import (
     MaxDepthExceeded,
     OnContourZero,
     _chord_cut,
-    _rect_windings,
     _sample_hint,
     _single,
     count_in_disk,
@@ -40,13 +39,20 @@ def equal_sys(m, n, c):
     return equal_gain_system(c, m / n, Rational(m, n))
 
 
+def _box_windings(func, box, n0):
+    """``contour._rect_windings`` of the boxes with every edge of box p
+    starting from ``n0[p]`` samples."""
+    path, _ = contour._edges(box)
+    return contour._windings(func, path, np.repeat(n0, 4), 4)
+
+
 def _box_count(func, rect, n0):
     """The count of ``rect`` from ``n0`` samples per edge, or its OnContourZero."""
-    return _single(_rect_windings(func, [(rect.re_min, rect.re_max, rect.im_min, rect.im_max)], [n0]))
+    return _single(_box_windings(func, [(rect.re_min, rect.re_max, rect.im_min, rect.im_max)], [n0]))
 
 
 def _hint(func, rect):
-    """The edge density ``winding_rect`` starts ``rect`` from for an ExpSum."""
+    """The density ``_sample_hint`` gives an edge as long as the longer side of ``rect``."""
     return int(_sample_hint(func, max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)))
 
 
@@ -106,6 +112,15 @@ class TestWindingRect:
         for n0 in (2, _hint(f, rect)):
             assert _box_count(f, rect, n0) == 2
 
+    def test_each_edge_starts_from_its_own_density(self, monkeypatch):
+        # a box 1 wide and 600 tall: its short edges start from 17 samples
+        # and its long ones from 600, where the density of the longer side
+        # on all four edges took 4,793 points in the first call
+        calls = TestIsolate._array_calls(monkeypatch)
+        f = char_expsum(equal_sys(2, 1, -0.25))
+        assert winding_rect(f, ComplexRect(-1, 0, 0.1, 600.1)) == 191
+        assert calls[0] == 2 * (2 * 17 - 1) + 2 * (2 * 600 - 1)
+
     def test_midpoint_check_evaluates_every_sample_once(self):
         # a simple zero well inside: no step or half turns by pi/2, so the
         # count settles at the first midpoint check, one call of the grid of
@@ -118,8 +133,7 @@ class TestWindingRect:
 
         n0 = 17
         assert _box_count(func, ComplexRect(-1, 1, -1, 1), n0) == 1
-        N = 4 * (n0 - 1) + 1
-        assert points == [2 * N - 1]
+        assert points == [4 * (2 * n0 - 1)]
 
     @pytest.mark.parametrize(
         "sysd, box, expected",
@@ -157,17 +171,25 @@ def _bisecting_track(func, path, t, w, zero_tol, max_pass=60):
     raise OnContourZero("argument tracking did not settle (zero very near contour)")
 
 
-def _doubling_windings(func, path, n):
+def _doubling_windings(func, path, n, per):
     """The engine the half check replaced, behind ``contour._windings``'
-    interface: each path tracked by ``_bisecting_track``, path by path, and
-    tracked again at doubled density until two rounds agree, 8 rounds at
-    most.  An ExpSum is tracked divided by the size of its terms, as there."""
+    interface: the ``per`` paths of each contour stitched into one closed
+    path, a 1 / ``per`` of its parameter each, tracked by ``_bisecting_track``,
+    contour by contour, from as many steps as its paths have, and tracked
+    again at doubled density until two rounds agree, 8 rounds at most.  An
+    ExpSum is tracked divided by the size of its terms, as there."""
     if isinstance(func, ExpSum):
         es = func
         func = lambda z: es(z) / np.maximum(es.magnitude(z), 1.0)
-    k, why = [0] * len(n), {}
-    for p, size in enumerate(n):
-        on_p = lambda s, p=p: path(np.full(s.size, p), s)
+    n = np.asarray(n)
+    k, why = [0] * (n.size // per), {}
+    for p in range(len(k)):
+        size = int((n[p * per:(p + 1) * per] - 1).sum()) + 1
+
+        def on_p(s, p=p):
+            e = np.minimum((per * s).astype(int), per - 1)
+            return path(p * per + e, per * s - e)
+
         prev = None
         for _ in range(8):
             t = np.linspace(0.0, 1.0, size)
@@ -309,9 +331,9 @@ class TestTrack:
         assert abs(np.angle(g(1 - 1j) / g(-1 - 1j))) < 0.5 * np.pi <= abs(np.angle(g(-1j) / g(-1 - 1j)))
         f, calls = _counted(g)
         assert _box_count(f, ComplexRect(-1, 1, -1, 1), 2) == 1
-        # a path that settles at once takes one call, the grid of 2 (4 * 2 - 3) - 1
-        # samples with its midpoints; this one goes on to cut steps
-        assert calls[0] == 9 and len(calls) > 1
+        # a box that settles at once takes one call, the grid of 2 * 2 - 1
+        # samples of each edge with its midpoints; this one goes on to cut steps
+        assert calls[0] == 12 and len(calls) > 1
 
     def test_degenerate_chord_cuts_at_the_midpoint(self):
         wa = np.array([1 + 1j, np.inf, 1.0, np.nan, -1.0, -1.0, 1 + 1j, -3.0])
@@ -374,7 +396,7 @@ class TestBatchedWinding:
         zs = [z for z in disk_roots(p).roots if z != 0] if p.degree > 0 else []
         rects = [_drawn_box(data, zs, n) for _ in range(data.draw(st.integers(1, 6), label="boxes"))]
         box = [(r.re_min, r.re_max, r.im_min, r.im_max) for r in rects]
-        k, why = _rect_windings(func, box, [_hint(func, r) for r in rects])
+        k, why = _box_windings(func, box, [_hint(func, r) for r in rects])
         batched = ["contact" if i in why else k[i] for i in range(len(rects))]
         alone = [_old_outcome(func, r) for r in rects]
         event(f"{family} {sum(b == 'contact' for b in batched)} of {len(rects)} in contact")
@@ -384,7 +406,7 @@ class TestBatchedWinding:
         f = TestTrack.F
         re0 = TestTrack.RE0
         box = [(-1, 1, 0.5, 2.5), (re0, 1, 0.5, 2.5), (-1, 1, 0.5, math.pi / 2), (-1, 1, 0.5, 7)]
-        k, why = _rect_windings(f, box, [17] * 4)
+        k, why = _box_windings(f, box, [17] * 4)
         assert sorted(why) == [1, 2]
         assert (k[0], k[3]) == (1, 2)
         assert all("tolerance" in msg for msg in why.values())
@@ -422,10 +444,10 @@ class TestBatchedWinding:
         # values at the least and greatest Re where it is not
         func = char_expsum(sysd)
         n0 = [int(_sample_hint(func, max(b[1] - b[0], b[3] - b[2]))) for b in box]
-        lazy = _rect_windings(func, box, n0)
+        lazy = _box_windings(func, box, n0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contour, "_contacts", _exact_contacts)
-            exact = _rect_windings(func, box, n0)
+            exact = _box_windings(func, box, n0)
         assert lazy == exact
         assert sorted(lazy[1]) == contacts
 
@@ -439,9 +461,9 @@ class TestBatchedWinding:
             return z - (0.1 + 0.2j)
 
         box = [(-1, 1, -1, 1), (0.5, 1, -1, 1), (-1, 1, 0.3, 1), (-3, 3, -3, 3)]
-        k, why = _rect_windings(func, box, [17] * 4)
+        k, why = _box_windings(func, box, [17] * 4)
         assert (k, why) == ([1, 0, 0, 1], {})
-        assert calls == [4 * (2 * 65 - 1)]
+        assert calls == [4 * 4 * (2 * 17 - 1)]
 
 
 class TestCountInDisk:
@@ -709,13 +731,14 @@ class TestIsolate:
                 assert abs(r.lam - e) < 1e-8
                 expected.remove(e)
 
-    def test_depth_cap_raises_at_the_first_box_depth_first(self):
+    def test_depth_cap_raises_at_the_first_box_depth_first(self, monkeypatch):
         # four simple roots, two at Im = pi/2 and two at Im = 3 pi/2: the
         # first level cuts four slabs, and the first and the third hold two
         # roots each and reach the cap; the lowest one comes first
+        monkeypatch.setattr(contour, "_MAX_DEPTH", 1)
         s = DelaySystem(DelayGains(0.5, 0.1), 2.0, Rational(2, 1))
         with pytest.raises(MaxDepthExceeded, match=r"depth 1 reached at .*im_min=0\.3, im_max=1\.870"):
-            isolate_and_refine(s, ComplexRect(-1.0, 0.5, 0.3, 0.3 + 2 * math.pi), max_depth=1)
+            isolate_and_refine(s, ComplexRect(-1.0, 0.5, 0.3, 0.3 + 2 * math.pi))
 
     def test_neighbour_root_not_taken_twice(self):
         # Newton from one box's centre converges to a root just outside it;
