@@ -27,9 +27,10 @@ Root isolation splits level by level: a box of winding k is cut into
 max(2, k) slabs, and the slabs of every box of a level are wound in one
 batch.  One strip scan answers every question about the lowest unstable
 root, clearance below a height included: boxes up the right half-plane
-from 0 are wound in batches that grow, within the phase budget, while they
-come back empty; a tall box with a root is scanned again in shorter
-boxes, and the first short one with a root is isolated.
+from 0, or from below a height certified clear, are wound in batches that
+grow, within the phase budget, while they come back empty; a tall box with
+a root is scanned again in shorter boxes, and the first short one with a
+root is isolated.
 
 Double roots are certified structurally rather than by ever-finer bisection:
 principal-value tracking cannot see the full 2*pi swing of a quadratic dip
@@ -660,14 +661,14 @@ def _rightmost_root(sys: DelaySystem) -> Optional[complex]:
     return _newton(char_expsum(sys).with_slope, -sys.tau_rational.den * np.log(complex(z)), 4)
 
 
-def min_unstable_imag(sys: DelaySystem, im_cap: float) -> Optional[float]:
+def min_unstable_imag(sys: DelaySystem, im_cap: float, clear=None) -> Optional[float]:
     """Smallest |Im lam| over roots with Re lam >= 0 up to ``im_cap``, or None,
-    by the strip scan of :func:`_first_unstable_root`."""
-    lam, _ = _first_unstable_root(sys, im_cap, -1e-8)
+    by the strip scan of :func:`_first_unstable_root` (with ``clear``)."""
+    lam, _ = _first_unstable_root(sys, im_cap, -1e-8, clear)
     return None if lam is None else abs(lam.imag)
 
 
-def _first_unstable_root(sys: DelaySystem, height: float, floor: float) -> tuple:
+def _first_unstable_root(sys: DelaySystem, height: float, floor: float, clear=None) -> tuple:
     """``(lam, top)``: the root with Re lam >= ``floor`` and the least Im lam
     in [0, top), or None, and the height ``top`` scanned: ``height``, or
     pi (n + 1/2) for tau = m/n if lower, as the roots repeat every 2 pi n in
@@ -675,19 +676,24 @@ def _first_unstable_root(sys: DelaySystem, height: float, floor: float) -> tuple
     polynomial puts roots on Im = pi n).
 
     Batches of 8 boxes [-1e-9, re_bound] x [a - 1e-9, a + h] are wound up
-    from 0 and read in order; h is the base step max(pi, re_bound), then
-    1/8 of the height scanned, as long as the left edges of the 8 boxes
-    turn the phase by at most ``_MAX_PHASE`` in all, so memory does not grow
-    with the height.  A taller box with a root or a contact is scanned again
-    in boxes of 1/8 its height; a base-step one goes to :func:`_isolate`
-    (after :func:`_winding_with_retries` on a contact); the scan goes on
-    past a box whose roots all lie below ``floor``.
+    from 0, or given ``clear`` from a multiple of the base step a step or
+    more below ``clear(re_bound)``, a height below which no root has
+    Re lam >= 0 (``regions.clearance_height``; the step is a margin, not a
+    proof, for Re lam in [``floor``, 0)), and read in order; h is the base
+    step max(pi, re_bound), then 1/8 of the height scanned, as long as the
+    left edges of the 8 boxes turn the phase by at most ``_MAX_PHASE`` in
+    all, so memory does not grow with the height.  A taller box with a root
+    or a contact is scanned again in boxes of 1/8 its height; a base-step
+    one goes to :func:`_isolate` (after :func:`_winding_with_retries` on a
+    contact); the scan goes on past a box whose roots all lie below
+    ``floor``.
     """
     reb = re_bound(sys)
     func = char_expsum(sys)
     if sys.tau_rational is not None:
         height = min(height, np.pi * (sys.tau_rational.den + 0.5))
     step = max(np.pi, reb)
+    j0 = max(0, math.floor(min(clear(reb), height) / step) - 1) if clear else 0
 
     def scan(j, k, size):
         """The root sought in ``size`` boxes of ``k`` steps from ``j`` steps up, or None."""
@@ -709,8 +715,8 @@ def _first_unstable_root(sys: DelaySystem, height: float, floor: float) -> tuple
         return None
 
     k_max = 2 ** max(0, math.floor(math.log2(_MAX_PHASE / (8 * step * max(map(abs, func.rates))))))
-    j, k, lam = 0, 1, None
+    j, k, lam = j0, 1, None
     while lam is None and height - j * step >= 1e-9:
         lam = scan(j, k, 8)
-        j, k = j + 8 * k, min(j // 8 + k, k_max)
+        j, k = j + 8 * k, min((j - j0) // 8 + k, k_max)
     return lam, height

@@ -65,6 +65,7 @@ __all__ = [
     "find_pos_neg_cos",
     "stability_region",
     "exclusion_constant",
+    "clearance_height",
     "hale_two_delay",
     "crossing_state",
     "one_gain_state",
@@ -373,6 +374,32 @@ def exclusion_constant(base: int, c: float) -> Optional[float]:
     return (1.0 - (2 * (base - 1) / math.pi) * math.asin(abs(c))) * math.pi / 2.0
 
 
+def clearance_height(sys: DelaySystem, x: float) -> float:
+    """H*: no root with Re lam in [0, x] has |Im lam| < H*, for equal gains c at
+    tau = b + eps, b = 2l the nearest even delay and eps = tau - b as ``sys``
+    holds them; inf at eps = 0, 0.0 for unequal gains or a c not stabilising b.
+
+    With z = e^{-lam} and phi = e^{-eps lam}, f(lam) = 0 iff Q = 1 + z^2 +
+    2c phi z^b = 0.  Q has a zero z^2 = e^{i theta} on |z| = 1 only at phi =
+    Gamma(theta) = -(1 + e^{i theta}) e^{-i l theta}/(2c), of modulus
+    cos(theta/2)/|c| and argument (1/2 - l) theta (+ pi if c > 0), odd in theta.
+    A root in [0, x] x [0, H] has |z| <= 1 and phi in the connected sector of
+    |phi| between 1 and e^{-eps x} and arg phi between 0 and -eps H.  At phi = 1
+    Q has no zero in the closed disk (c stabilises b), and one enters only on
+    Gamma: H* = t/|eps| for the least t >= 0 that, up to sign and mod 2 pi,
+    is an argument of Gamma at a modulus in that range.
+    """
+    base = 2 * round(sys.tau / 2)
+    eps, c = sys.tau - base, sys.c2
+    if sys.c1 != c or exclusion_constant(base, c) is None:
+        return 0.0
+    if eps == 0.0:
+        return math.inf
+    th = (math.acos(math.exp(min(0.0, math.log(abs(c)) + r))) for r in (0.0, -eps * x))  # theta/2 at |phi| = e^r
+    lo, hi = sorted((1 - base) * h + (math.pi if c > 0 else 0.0) for h in th)
+    return min(max(0.0, a + 2 * math.pi * math.ceil(-b / (2 * math.pi))) for a, b in ((lo, hi), (-hi, -lo))) / abs(eps)
+
+
 def hale_two_delay(a1: float, a2: float, a3: float) -> bool:
     """Two-delay stability test for 1 = a1 e^{-r1 lam} + a2 e^{-r2 lam} + a3 e^{-(r1+r2) lam}.
 
@@ -530,13 +557,15 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
     and the witness is the scan's root up to 64 pi above 2 C1/|eps|, with
     C1 from :func:`exclusion_constant` for equal gains at eps from a delay
     they stabilise (at base 0 a root lies below 2 C1/|eps| + 2 pi), else 0.
+    The scan starts one to two steps below :func:`clearance_height`, 0 unless
+    equal gains stabilise the nearest even delay: then it winds a few steps.
     """
     equal = sys.c1 == sys.c2
     if treat_as_irrational:
         base = 2 * round(sys.tau / 2)
         C1 = exclusion_constant(base, sys.c2) if equal else None
         low = C1 / abs(sys.tau - base) if C1 and sys.tau != base else 0.0
-        lam, top = _first_unstable_root(sys, 2 * low + 64 * np.pi, -1e-8)
+        lam, top = _first_unstable_root(sys, 2 * low + 64 * np.pi, -1e-8, functools.partial(clearance_height, sys))
         if lam is None:
             raise WitnessSearchExhausted(f"no unstable root with |Im lam| below {top:.6g}")
         return StabilityVerdict(StabilityState.UNSTABLE, lam)

@@ -9,6 +9,7 @@ frequency lambda_eps, locates it, and constructs the on-axis witness pair
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 from .chareq import DelaySystem, ExpSum, equal_gain_system
 from .contour import min_unstable_imag
 from .polyform import StabilityState
-from .regions import classify, exclusion_constant
+from .regions import classify, clearance_height, exclusion_constant
 
 __all__ = [
     "PerturbationCase",
@@ -125,28 +126,31 @@ def check_low_freq_clear(case: PerturbationCase) -> bool:
     At eps = 0 the base system is exponentially stable, so every height is
     clear and the check reduces to the classifier.  By conjugate symmetry
     only the upper half-plane is scanned, by the strip scan of
-    :func:`min_unstable_imag` up to that height.
+    :func:`min_unstable_imag` up to that height, from a base step below
+    ``regions.clearance_height`` (C1/eps itself for eps > 0 at base 2l).
     """
+    sys = perturbed_system(case)
     if case.epsilon == 0.0:
-        return classify(perturbed_system(case)).state is StabilityState.STABLE
+        return classify(sys).state is StabilityState.STABLE
     height = bounds_for(case).C1 / abs(case.epsilon)
-    return min_unstable_imag(perturbed_system(case), height * (1.0 - 1e-6)) is None
+    return min_unstable_imag(sys, height * (1.0 - 1e-6), functools.partial(clearance_height, sys)) is None
 
 
 def find_lambda_eps(case: PerturbationCase) -> float:
     """Lowest unstable frequency inf{|Im lam| : root with Re lam >= 0}.
 
-    The strip scan of :func:`min_unstable_imag` runs from 0 up to twice the
-    cap 2*C2/|eps| + 2pi and stops at the first root.  The result must
-    satisfy the exclusion/existence sandwich C1/|eps| <= lambda_eps <=
-    (S_eps + 1) pi.
+    The strip scan of :func:`min_unstable_imag` runs from a step below
+    ``regions.clearance_height``, a few steps under lambda_eps at any |eps|,
+    up to twice the cap 2*C2/|eps| + 2pi, and stops at the first root; the
+    result must satisfy the sandwich C1/|eps| <= lambda_eps <= (S_eps + 1) pi.
     """
     if case.epsilon == 0.0:
         raise ValueError("eps = 0 has no unstable roots; the sweep reports it as absent")
     bounds = bounds_for(case)
     eps = abs(case.epsilon)
     cap = 2.0 * bounds.C2 / eps + 2.0 * math.pi
-    val = min_unstable_imag(perturbed_system(case), 2.0 * cap)
+    sys = perturbed_system(case)
+    val = min_unstable_imag(sys, 2.0 * cap, functools.partial(clearance_height, sys))
     if val is None:
         raise LambdaEpsNotFound(
             f"no unstable root below |Im| = {2 * cap:.2f} for tau = {case.tau}"
@@ -227,9 +231,10 @@ def sweep(case_template: PerturbationCase, eps_list: Sequence[float]) -> List[Sw
     """Batch lambda_eps / clearance over a list of perturbations.
 
     Rows keep the input order; failures are captured per row and the sweep
-    continues.  A row runs one strip scan, in :func:`find_lambda_eps`, and
-    is clear iff lambda_eps >= (1 - 1e-6) C1/|eps|; eps = 0 rows report
-    lambda_eps as absent (stable base) and take :func:`check_low_freq_clear`.
+    continues.  A row runs one strip scan, in :func:`find_lambda_eps`, at a
+    cost flat in |eps| to 1e-6, and is clear iff lambda_eps >= (1 - 1e-6)
+    C1/|eps|; eps = 0 rows report lambda_eps as absent (stable base) and take
+    :func:`check_low_freq_clear`.
     """
     rows: List[SweepRow] = []
     for eps in eps_list:

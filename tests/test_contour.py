@@ -97,12 +97,6 @@ class TestWindingRect:
         with pytest.raises(ValueError, match="finite"):
             ComplexRect(*bounds)
 
-    def test_fewer_than_two_edge_samples_rejected(self):
-        # one sample per edge made every count 0; zero failed inside numpy
-        f = char_expsum(equal_sys(2, 1, -0.25))
-        rect = ComplexRect(-1, 1, 0.5, 7)
-        assert winding_rect(f, rect) == 2
-
     def test_coarse_start_raised_to_the_sample_hint(self):
         # two samples per edge aliased both roots away under sample doubling,
         # whose rounds of 5 and 9 samples agreed on that 0; the half check

@@ -20,7 +20,7 @@ from delaywave.chareq import (
     equal_gain_system,
     eval_char,
 )
-from delaywave.contour import count_in_disk, spectral_abscissa
+from delaywave.contour import count_in_disk, min_unstable_imag, re_bound, spectral_abscissa
 from delaywave.polyform import StabilityState, disk_roots, disk_terms, reduce_to_polynomial, stability_from_poly
 from delaywave.regions import (
     RegionSpec,
@@ -29,12 +29,14 @@ from delaywave.regions import (
     branch_sign_r,
     branch_sign_strip,
     classify,
+    clearance_height,
     critical_set_E,
     critical_set_strip,
     find_pos_neg_cos,
     hale_two_delay,
     nearest_boundary,
     boundary_side,
+    exclusion_constant,
     region_boundaries_bisect,
     second_order_at_zero,
     stability_region,
@@ -354,6 +356,64 @@ class TestHale:
 
 
 # ---------------------------------------------------------------- classifier
+
+
+def _near_stabilising_systems(seed, count):
+    """Equal-gain loops at tau = b + eps, b in {0, 2, 4, 6}, |eps| log-uniform
+    in [1e-3, 0.2] (both signs at even b), c inside the window of b."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        base = int(rng.choice([0, 2, 4, 6]))
+        eps = 10.0 ** rng.uniform(-3.0, math.log10(0.2))
+        if base:
+            region = stability_region(float(base), CharKind.CASCADE_EQUAL_GAINS)
+            c = region.lower + (region.upper - region.lower) * rng.uniform(0.05, 0.95)
+            eps *= rng.choice([-1.0, 1.0])
+        else:
+            c = rng.uniform(0.05, 2.0)
+        out.append((base, float(eps), equal_gain_system(float(c), base + float(eps))))
+    return out
+
+
+class TestClearanceHeight:
+    def test_no_certificate(self):
+        # unequal gains, and a gain outside the window of the nearest even delay
+        assert clearance_height(DelaySystem(DelayGains(-0.3, -0.5), 2.01), 1.0) == 0.0
+        assert clearance_height(equal_gain_system(0.3, 2.01), 1.0) == 0.0
+        assert clearance_height(equal_gain_system(-0.3, 0.01), 1.0) == 0.0
+        assert clearance_height(equal_gain_system(-0.5, 2.0), 1.0) == math.inf
+
+    @pytest.mark.parametrize("base, c", [(2, -0.5), (2, -0.9), (4, 0.3), (6, -0.1), (8, 0.2)])
+    def test_exclusion_bound_at_positive_eps(self, base, c):
+        # at eps > 0 the moduli are at most 1, and the curve's argument at
+        # |c| |phi| = 1 is -C1 (mod 2 pi) for the sign of c that b's window
+        # takes; the other moduli only move it away from 0
+        C1 = exclusion_constant(base, c)
+        for eps in (0.2, 1e-2, 1e-3, 1e-6):
+            s = equal_gain_system(c, base + eps)
+            assert clearance_height(s, re_bound(s)) == pytest.approx(C1 / (s.tau - base), rel=1e-12)
+
+    def test_base_zero_above_exclusion_bound(self):
+        # with c > 1 the roots move to Re lam ~ ln(2c)/eps, and the moduli to
+        # e^{-eps x}: the certificate covers them down to C1/eps = pi/(2 eps)
+        for c in (0.3, 1.0, 1.5):
+            s = equal_gain_system(c, 0.01)
+            assert clearance_height(s, re_bound(s)) >= (math.pi / 2) / 0.01
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_at_most_the_lowest_unstable_root(self, seed):
+        for base, eps, s in _near_stabilising_systems(seed, 30):
+            lam = min_unstable_imag(s, 4 * math.pi / abs(eps) + 64 * math.pi)
+            assert lam is not None and clearance_height(s, re_bound(s)) <= lam, (base, eps, s.c2)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_irrational_witness_same_as_scan_from_zero(self, seed, monkeypatch):
+        systems = _near_stabilising_systems(seed, 30)
+        started = [classify(s, treat_as_irrational=True) for _, _, s in systems]
+        monkeypatch.setattr(regions, "clearance_height", lambda sys, x: 0.0)
+        for (base, eps, s), v in zip(systems, started):
+            assert classify(s, treat_as_irrational=True) == v, (base, eps, s.c2)
 
 
 class TestClassify:

@@ -16,6 +16,9 @@ from delaywave.robustness import (
     sweep,
     witness_F_epsilon,
 )
+from delaywave import contour, robustness
+from delaywave.chareq import ExpSum
+from delaywave.contour import min_unstable_imag
 from delaywave.polyform import disk_roots, reduce_to_polynomial
 
 PI = math.pi
@@ -184,6 +187,75 @@ class TestLambdaEps:
         assert find_lambda_eps(case) == pytest.approx(ref, rel=1e-9)
 
 
+def near_stabilising_cases(seed, count):
+    """Perturbed cases at bases 0, 2, 4 and 6, |eps| log-uniform in [1e-3, 0.2]
+    with both signs at even bases, and c drawn inside each window."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        base = float(rng.choice([0, 2, 4, 6]))
+        eps = 10.0 ** rng.uniform(-3.0, math.log10(0.2))
+        if base:
+            w = math.sin(PI / (2 * (base - 1)))
+            lo, hi = (-w, 0.0) if base % 4 == 2 else (0.0, w)
+            c = lo + (hi - lo) * rng.uniform(0.05, 0.95)
+            eps *= rng.choice([-1.0, 1.0])
+        else:
+            c = rng.uniform(0.05, 2.0)
+        cases.append(PerturbationCase(base, float(eps), float(c)))
+    return cases
+
+
+def outcome(f):
+    """repr of f(), or the type and message of what it raised."""
+    try:
+        return repr(f())
+    except ArithmeticError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestClearanceHeightStart:
+    """find_lambda_eps and check_low_freq_clear start their strip scan below
+    regions.clearance_height; from 0 they give the same outputs."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_outputs_as_the_scan_from_zero(self, seed, monkeypatch):
+        cases = near_stabilising_cases(seed, 30)
+        fns = (find_lambda_eps, check_low_freq_clear)
+        started = [[outcome(lambda: f(case)) for f in fns] for case in cases]
+        monkeypatch.setattr(robustness, "clearance_height", lambda sys, x: 0.0)
+        for case, got in zip(cases, started):
+            assert got == [outcome(lambda: f(case)) for f in fns], case
+
+    @pytest.mark.parametrize("base, c", [(2.0, -0.5), (4.0, 0.3)])
+    def test_work_flat_in_eps(self, base, c, monkeypatch):
+        # from 0, find_lambda_eps took 8-13 windings of 15,160-195,064 ExpSum
+        # points at |eps| = 1e-3 and 1e-4, and more below; from the clearance
+        # height one batched winding of about 1,100-1,250 points at every |eps|
+        windings, points = [], []
+        rect_windings, plain = contour._rect_windings, ExpSum.__call__
+
+        def counted_windings(func, box):
+            windings.append(len(box))
+            return rect_windings(func, box)
+
+        def counted_call(self, lam):
+            points.append(np.size(lam))
+            return plain(self, lam)
+
+        monkeypatch.setattr(contour, "_rect_windings", counted_windings)
+        monkeypatch.setattr(ExpSum, "__call__", counted_call)
+        work = {}
+        for eps in (1e-3, -1e-3, 1e-4, -1e-4, 1e-5, -1e-5, 1e-6, -1e-6):
+            windings.clear()
+            points.clear()
+            find_lambda_eps(PerturbationCase(base, eps, c))
+            work[eps] = (len(windings), sum(points))
+        for eps, (calls, total) in work.items():
+            assert calls == work[1e-3][0] == 1, work
+            assert total <= 1.25 * work[1e-3][1], work
+
+
 # ---------------------------------------------------------------- witness
 
 
@@ -263,7 +335,7 @@ class TestSweep:
         # the paper's regime down to |eps| = 1e-6, where lambda_eps ~ 1e6
         t0 = time.perf_counter()
         rows = sweep(PerturbationCase(2.0, 1e-5, -0.5), [1e-5, -1e-5, 1e-6, -1e-6])
-        assert time.perf_counter() - t0 < 40.0
+        assert time.perf_counter() - t0 < 2.0
         assert [r.eps for r in rows] == [1e-5, -1e-5, 1e-6, -1e-6]
         for row in rows:
             b = bounds_for(PerturbationCase(2.0, row.eps, -0.5))
@@ -273,13 +345,17 @@ class TestSweep:
 
     def test_scan_memory_bounded_by_phase_budget(self):
         # a batch of the scan is bounded by the phase budget, not by the
-        # height scanned: ten times the height takes no more memory
+        # height scanned: ten times the height takes no more memory.  The
+        # scan runs from 0, without the clearance height find_lambda_eps
+        # starts from, and finds the same root
         peaks = []
         for eps in (1e-5, 1e-6):
+            case = PerturbationCase(2.0, eps, -0.5)
             tracemalloc.start()
-            find_lambda_eps(PerturbationCase(2.0, eps, -0.5))
+            val = min_unstable_imag(perturbed_system(case), 2.0 * (PI / eps + 2.0 * PI))
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
+            assert val == find_lambda_eps(case)
         assert peaks[1] <= 1.5 * peaks[0]
 
     def test_sandwich_invariant(self):
