@@ -27,10 +27,11 @@ Root isolation splits level by level: a box of winding k is cut into
 max(2, k) slabs, and the slabs of every box of a level are wound in one
 batch.  One strip scan answers every question about the lowest unstable
 root, clearance below a height included: boxes up the right half-plane
-from 0, or from below a height certified clear, are wound in batches that
-grow, within the phase budget, while they come back empty; a tall box with
-a root is scanned again in shorter boxes, and the first short one with a
-root is isolated.
+from a step below the height ``regions.clearance_height`` certifies clear
+(0 where it certifies nothing) are wound in batches that grow, within the
+phase budget, while they come back empty; a tall box with a root is
+scanned again in shorter boxes, and the first short one with a root is
+isolated.
 
 Double roots are certified structurally rather than by ever-finer bisection:
 principal-value tracking cannot see the full 2*pi swing of a quadratic dip
@@ -661,14 +662,14 @@ def _rightmost_root(sys: DelaySystem) -> Optional[complex]:
     return _newton(char_expsum(sys).with_slope, -sys.tau_rational.den * np.log(complex(z)), 4)
 
 
-def min_unstable_imag(sys: DelaySystem, im_cap: float, clear=None) -> Optional[float]:
+def min_unstable_imag(sys: DelaySystem, im_cap: float) -> Optional[float]:
     """Smallest |Im lam| over roots with Re lam >= 0 up to ``im_cap``, or None,
-    by the strip scan of :func:`_first_unstable_root` (with ``clear``)."""
-    lam, _ = _first_unstable_root(sys, im_cap, -1e-8, clear)
+    by the strip scan of :func:`_first_unstable_root` from its certificate."""
+    lam, _ = _first_unstable_root(sys, im_cap, -1e-8)
     return None if lam is None else abs(lam.imag)
 
 
-def _first_unstable_root(sys: DelaySystem, height: float, floor: float, clear=None) -> tuple:
+def _first_unstable_root(sys: DelaySystem, height: float, floor: float) -> tuple:
     """``(lam, top)``: the root with Re lam >= ``floor`` and the least Im lam
     in [0, top), or None, and the height ``top`` scanned: ``height``, or
     pi (n + 1/2) for tau = m/n if lower, as the roots repeat every 2 pi n in
@@ -676,10 +677,11 @@ def _first_unstable_root(sys: DelaySystem, height: float, floor: float, clear=No
     polynomial puts roots on Im = pi n).
 
     Batches of 8 boxes [-1e-9, re_bound] x [a - 1e-9, a + h] are wound up
-    from 0, or given ``clear`` from a multiple of the base step a step or
-    more below ``clear(re_bound)``, a height below which no root has
-    Re lam >= 0 (``regions.clearance_height``; the step is a margin, not a
-    proof, for Re lam in [``floor``, 0)), and read in order; h is the base
+    from the multiple of the base step a step or more below H* =
+    ``regions.clearance_height(sys, re_bound)``, a height below which no
+    root has Re lam >= 0 (the step is a margin, not a proof, for Re lam in
+    [``floor``, 0)); H* is 0 unless equal gains stabilise the nearest even
+    delay.  The batches are read in order; h is the base
     step max(pi, re_bound), then 1/8 of the height scanned, as long as the
     left edges of the 8 boxes turn the phase by at most ``_MAX_PHASE`` in
     all, so memory does not grow with the height.  A taller box with a root
@@ -688,12 +690,13 @@ def _first_unstable_root(sys: DelaySystem, height: float, floor: float, clear=No
     contact); the scan goes on past a box whose roots all lie below
     ``floor``.
     """
+    from .regions import clearance_height  # at call time: regions imports this module
     reb = re_bound(sys)
     func = char_expsum(sys)
     if sys.tau_rational is not None:
         height = min(height, np.pi * (sys.tau_rational.den + 0.5))
     step = max(np.pi, reb)
-    j0 = max(0, math.floor(min(clear(reb), height) / step) - 1) if clear else 0
+    j0 = max(0, math.floor(min(clearance_height(sys, reb), height) / step) - 1)
 
     def scan(j, k, size):
         """The root sought in ``size`` boxes of ``k`` steps from ``j`` steps up, or None."""

@@ -343,11 +343,12 @@ def default_fit_window(rate_guess: float, t_final: float) -> Tuple[float, float]
     return min(start, 0.5 * t_final), t_final
 
 
-def boundary_trace_recursion(config: SimConfig, t_final: float):
-    """Boundary traces P(t) = p(1, t), W(t) = w(1, t) on the exact dt grid,
-    copied span by span from the simulator's trace buffers."""
+def boundary_trace_recursion(config: SimConfig):
+    """Boundary traces P(t) = p(1, t), W(t) = w(1, t) on the exact dt grid up
+    to ``config.t_final``, copied span by span from the simulator's trace
+    buffers."""
     N, M = config.wave_cells, config.transport_cells
-    n_steps = int(round(t_final / config.dt))
+    n_steps = int(round(config.t_final / config.dt))
     P, W = [], []
     for _, p, _, w in _trace_blocks(config, n_steps):
         P.append(p[N:].copy())

@@ -99,13 +99,9 @@ def reduce_to_polynomial(sys: DelaySystem) -> PolyReal:
     """
     if sys.tau_rational is None:
         raise ValueError("polynomial reduction needs an exact rational delay")
-    m, n = sys.tau_rational.num, sys.tau_rational.den
-    c1, c2 = sys.c1, sys.c2
-    a = np.zeros(m + 2 * n + 1)
-    a[0] += 1.0
-    a[m] += c1 + c2
-    a[2 * n] += 1.0
-    a[m + 2 * n] += c1 - c2
+    a = np.zeros(sys.tau_rational.num + 2 * sys.tau_rational.den + 1)
+    for k, v in disk_terms(sys).items():
+        a[k] = v
     return PolyReal.from_coeffs(a)
 
 

@@ -557,15 +557,16 @@ def classify(sys: DelaySystem, treat_as_irrational: bool = False) -> StabilityVe
     and the witness is the scan's root up to 64 pi above 2 C1/|eps|, with
     C1 from :func:`exclusion_constant` for equal gains at eps from a delay
     they stabilise (at base 0 a root lies below 2 C1/|eps| + 2 pi), else 0.
-    The scan starts one to two steps below :func:`clearance_height`, 0 unless
-    equal gains stabilise the nearest even delay: then it winds a few steps.
+    Every scan, rational delay or not, starts one to two steps below
+    :func:`clearance_height`, 0 unless equal gains stabilise the nearest
+    even delay: then it winds a few steps at any distance from that delay.
     """
     equal = sys.c1 == sys.c2
     if treat_as_irrational:
         base = 2 * round(sys.tau / 2)
         C1 = exclusion_constant(base, sys.c2) if equal else None
         low = C1 / abs(sys.tau - base) if C1 and sys.tau != base else 0.0
-        lam, top = _first_unstable_root(sys, 2 * low + 64 * np.pi, -1e-8, functools.partial(clearance_height, sys))
+        lam, top = _first_unstable_root(sys, 2 * low + 64 * np.pi, -1e-8)
         if lam is None:
             raise WitnessSearchExhausted(f"no unstable root with |Im lam| below {top:.6g}")
         return StabilityVerdict(StabilityState.UNSTABLE, lam)

@@ -9,7 +9,6 @@ frequency lambda_eps, locates it, and constructs the on-axis witness pair
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 from .chareq import DelaySystem, ExpSum, equal_gain_system
 from .contour import min_unstable_imag
 from .polyform import StabilityState
-from .regions import classify, clearance_height, exclusion_constant
+from .regions import classify, exclusion_constant
 
 __all__ = [
     "PerturbationCase",
@@ -133,7 +132,7 @@ def check_low_freq_clear(case: PerturbationCase) -> bool:
     if case.epsilon == 0.0:
         return classify(sys).state is StabilityState.STABLE
     height = bounds_for(case).C1 / abs(case.epsilon)
-    return min_unstable_imag(sys, height * (1.0 - 1e-6), functools.partial(clearance_height, sys)) is None
+    return min_unstable_imag(sys, height * (1.0 - 1e-6)) is None
 
 
 def find_lambda_eps(case: PerturbationCase) -> float:
@@ -149,8 +148,7 @@ def find_lambda_eps(case: PerturbationCase) -> float:
     bounds = bounds_for(case)
     eps = abs(case.epsilon)
     cap = 2.0 * bounds.C2 / eps + 2.0 * math.pi
-    sys = perturbed_system(case)
-    val = min_unstable_imag(sys, 2.0 * cap, functools.partial(clearance_height, sys))
+    val = min_unstable_imag(perturbed_system(case), 2.0 * cap)
     if val is None:
         raise LambdaEpsNotFound(
             f"no unstable root below |Im| = {2 * cap:.2f} for tau = {case.tau}"

@@ -248,7 +248,7 @@ class TestTraceRecursion:
     @pytest.mark.parametrize("m,n,c", [(2, 1, -0.25), (3, 2, 0.4), (4, 1, 0.25)])
     def test_grid_matches_delay_algebra(self, m, n, c):
         cfg = config(m, n, c, c, K=8, T=10.0)
-        times, P, W = boundary_trace_recursion(cfg, 10.0)
+        times, P, W = boundary_trace_recursion(cfg)
         st = init(cfg)
         p_trace = [st.p[-1]]
         w_trace = [st.w[-1]]
@@ -307,7 +307,7 @@ class TestBlockRecursion:
         for a, b in ((fin.p, st.p), (fin.q, st.q), (fin.w, st.w)):
             assert np.array_equal(a, b)
         assert state_dict(fin) == state_dict(st)
-        times, P, W = boundary_trace_recursion(cfg, T)
+        times, P, W = boundary_trace_recursion(cfg)
         assert len(times) == len(p1) and np.array_equal(P, p1) and np.array_equal(W, w1)
 
     @pytest.mark.parametrize(

@@ -61,6 +61,21 @@ class TestReduce:
         p = reduce_to_polynomial(s)
         # (c1-c2) z^7 + z^4 + (c1+c2) z^3 + 1
         assert p.coeffs == (1.0, 0.0, 0.0, pytest.approx(0.1), 1.0, 0.0, 0.0, 0.5)
+        # the same coefficients, signed zeros and stripped ones included, as
+        # the four terms added into a dense array, on a grid of delays and gains
+        gains = (0.0, -0.0, 1e-20, -1e-20, 0.3, -0.5, 1.0)
+        for m, n in ((m, n) for m in range(1, 9) for n in range(1, 6) if math.gcd(m, n) == 1):
+            for c1 in gains:
+                for c2 in gains:
+                    a = np.zeros(m + 2 * n + 1)
+                    a[0] += 1.0
+                    a[m] += c1 + c2
+                    a[2 * n] += 1.0
+                    a[m + 2 * n] += c1 - c2
+                    want = PolyReal.from_coeffs(a)
+                    got = reduce_to_polynomial(DelaySystem(DelayGains(c1, c2), m / n, Rational(m, n)))
+                    assert got.stripped_leading == want.stripped_leading, (m, n, c1, c2)
+                    assert np.array(got.coeffs).tobytes() == np.array(want.coeffs).tobytes(), (m, n, c1, c2)
 
     def test_requires_rational(self):
         s = DelaySystem(DelayGains(0.1, 0.2), math.pi)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from delaywave import regions
+from delaywave import contour, regions
 from delaywave.chareq import (
     CharKind,
     DelayGains,
@@ -376,6 +376,25 @@ def _near_stabilising_systems(seed, count):
     return out
 
 
+def _near_stabilising_rationals(seed, count):
+    """Equal-gain loops at tau = m/n = b + k/n, b in {2, 4, 6}, n log-uniform
+    in [40, 3000], 1 <= |k| <= 3 prime to n, c inside the window of b: every
+    one of reduced degree above the witness crossover."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        base = int(rng.choice([2, 4, 6]))
+        n = int(round(10.0 ** rng.uniform(math.log10(40), math.log10(3000))))
+        k = int(rng.integers(1, 4)) * int(rng.choice([-1, 1]))
+        if math.gcd(k, n) != 1:
+            continue
+        region = stability_region(float(base), CharKind.CASCADE_EQUAL_GAINS)
+        c = region.lower + (region.upper - region.lower) * rng.uniform(0.05, 0.95)
+        m = base * n + k
+        out.append(equal_gain_system(float(c), m / n, Rational(m, n)))
+    return out
+
+
 class TestClearanceHeight:
     def test_no_certificate(self):
         # unequal gains, and a gain outside the window of the nearest even delay
@@ -402,7 +421,9 @@ class TestClearanceHeight:
             assert clearance_height(s, re_bound(s)) >= (math.pi / 2) / 0.01
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_at_most_the_lowest_unstable_root(self, seed):
+    def test_at_most_the_lowest_unstable_root(self, seed, monkeypatch):
+        # the scan from 0 is the reference the certificate is checked against
+        monkeypatch.setattr(regions, "clearance_height", lambda sys, x: 0.0)
         for base, eps, s in _near_stabilising_systems(seed, 30):
             lam = min_unstable_imag(s, 4 * math.pi / abs(eps) + 64 * math.pi)
             assert lam is not None and clearance_height(s, re_bound(s)) <= lam, (base, eps, s.c2)
@@ -414,6 +435,34 @@ class TestClearanceHeight:
         monkeypatch.setattr(regions, "clearance_height", lambda sys, x: 0.0)
         for (base, eps, s), v in zip(systems, started):
             assert classify(s, treat_as_irrational=True) == v, (base, eps, s.c2)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rational_witness_same_as_scan_from_zero(self, seed, monkeypatch):
+        # above the crossover the UNSTABLE witness comes from the scan too
+        systems = _near_stabilising_rationals(seed, 20)
+        started = [classify(s) for s in systems]
+        monkeypatch.setattr(regions, "clearance_height", lambda sys, x: 0.0)
+        for s, v in zip(systems, started):
+            assert v.state is StabilityState.UNSTABLE and classify(s) == v, (s.tau_rational, s.c2)
+
+    @pytest.mark.parametrize("m, n", [(20001, 10000), (2000001, 1000000)])
+    def test_deep_rational_witness_in_one_winding(self, m, n, monkeypatch):
+        # from 0 the scan took over a second at 2000001/1000000
+        s = equal_gain_system(-0.5, m / n, Rational(m, n))
+        windings = []
+        rect_windings = contour._rect_windings
+
+        def counted(func, box):
+            windings.append(len(box))
+            return rect_windings(func, box)
+
+        monkeypatch.setattr(contour, "_rect_windings", counted)
+        v = classify(s)
+        assert v.state is StabilityState.UNSTABLE and len(windings) == 1, windings
+        f = char_expsum(s)
+        assert abs(complex(f(v.witness))) / float(f.magnitude(v.witness)) < 1e-10
+        monkeypatch.setattr(regions, "clearance_height", lambda sys, x: 0.0)
+        assert classify(s) == v
 
 
 class TestClassify:

@@ -16,7 +16,7 @@ from delaywave.robustness import (
     sweep,
     witness_F_epsilon,
 )
-from delaywave import contour, robustness
+from delaywave import contour, regions
 from delaywave.chareq import ExpSum
 from delaywave.contour import min_unstable_imag
 from delaywave.polyform import disk_roots, reduce_to_polynomial
@@ -214,6 +214,25 @@ def outcome(f):
         return f"{type(exc).__name__}: {exc}"
 
 
+def count_work(monkeypatch):
+    """Lists that collect the boxes of each batched rectangle winding and
+    the points of each ExpSum evaluation from here on."""
+    windings, points = [], []
+    rect_windings, plain = contour._rect_windings, ExpSum.__call__
+
+    def counted_windings(func, box):
+        windings.append(len(box))
+        return rect_windings(func, box)
+
+    def counted_call(self, lam):
+        points.append(np.size(lam))
+        return plain(self, lam)
+
+    monkeypatch.setattr(contour, "_rect_windings", counted_windings)
+    monkeypatch.setattr(ExpSum, "__call__", counted_call)
+    return windings, points
+
+
 class TestClearanceHeightStart:
     """find_lambda_eps and check_low_freq_clear start their strip scan below
     regions.clearance_height; from 0 they give the same outputs."""
@@ -223,7 +242,7 @@ class TestClearanceHeightStart:
         cases = near_stabilising_cases(seed, 30)
         fns = (find_lambda_eps, check_low_freq_clear)
         started = [[outcome(lambda: f(case)) for f in fns] for case in cases]
-        monkeypatch.setattr(robustness, "clearance_height", lambda sys, x: 0.0)
+        monkeypatch.setattr(regions, "clearance_height", lambda sys, x: 0.0)
         for case, got in zip(cases, started):
             assert got == [outcome(lambda: f(case)) for f in fns], case
 
@@ -232,19 +251,7 @@ class TestClearanceHeightStart:
         # from 0, find_lambda_eps took 8-13 windings of 15,160-195,064 ExpSum
         # points at |eps| = 1e-3 and 1e-4, and more below; from the clearance
         # height one batched winding of about 1,100-1,250 points at every |eps|
-        windings, points = [], []
-        rect_windings, plain = contour._rect_windings, ExpSum.__call__
-
-        def counted_windings(func, box):
-            windings.append(len(box))
-            return rect_windings(func, box)
-
-        def counted_call(self, lam):
-            points.append(np.size(lam))
-            return plain(self, lam)
-
-        monkeypatch.setattr(contour, "_rect_windings", counted_windings)
-        monkeypatch.setattr(ExpSum, "__call__", counted_call)
+        windings, points = count_work(monkeypatch)
         work = {}
         for eps in (1e-3, -1e-3, 1e-4, -1e-4, 1e-5, -1e-5, 1e-6, -1e-6):
             windings.clear()
@@ -254,6 +261,19 @@ class TestClearanceHeightStart:
         for eps, (calls, total) in work.items():
             assert calls == work[1e-3][0] == 1, work
             assert total <= 1.25 * work[1e-3][1], work
+
+    @pytest.mark.parametrize("base, c", [(2.0, -0.5), (4.0, 0.3)])
+    def test_public_scan_starts_at_the_certificate(self, base, c, monkeypatch):
+        # min_unstable_imag starts where find_lambda_eps does: from 0 it took
+        # over a second and many windings at |eps| = 1e-6
+        windings, _ = count_work(monkeypatch)
+        for eps in (1e-6, -1e-6):
+            case = PerturbationCase(base, eps, c)
+            height = 2.0 * (2.0 * bounds_for(case).C2 / abs(eps) + 2.0 * PI)
+            lam = find_lambda_eps(case)
+            windings.clear()
+            assert min_unstable_imag(perturbed_system(case), height) == lam
+            assert len(windings) == 1, (eps, windings)
 
 
 # ---------------------------------------------------------------- witness
@@ -343,19 +363,22 @@ class TestSweep:
             assert b.C1 / abs(row.eps) - 1e-6 <= row.lambda_eps <= (b.S_eps + 1) * PI + 1e-6
             assert abs(row.lambda_eps - high_frequency_onset(row.eps, -0.5)) < PI
 
-    def test_scan_memory_bounded_by_phase_budget(self):
+    def test_scan_memory_bounded_by_phase_budget(self, monkeypatch):
         # a batch of the scan is bounded by the phase budget, not by the
         # height scanned: ten times the height takes no more memory.  The
-        # scan runs from 0, without the clearance height find_lambda_eps
-        # starts from, and finds the same root
+        # scan runs from 0, with the clearance height find_lambda_eps
+        # starts from patched to 0, and finds the same root
+        cases = [PerturbationCase(2.0, eps, -0.5) for eps in (1e-5, 1e-6)]
+        started = [find_lambda_eps(case) for case in cases]
+        monkeypatch.setattr(regions, "clearance_height", lambda sys, x: 0.0)
         peaks = []
-        for eps in (1e-5, 1e-6):
-            case = PerturbationCase(2.0, eps, -0.5)
+        for case, lam in zip(cases, started):
+            eps = case.epsilon
             tracemalloc.start()
             val = min_unstable_imag(perturbed_system(case), 2.0 * (PI / eps + 2.0 * PI))
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-            assert val == find_lambda_eps(case)
+            assert val == lam
         assert peaks[1] <= 1.5 * peaks[0]
 
     def test_sandwich_invariant(self):
