@@ -119,17 +119,21 @@ def _out(path: Optional[str]):
             yield fh
 
 
-# CSV cells that fmt formats as f"{v:.12g}", formatted so without its isinstance
-# chain, which was most of the cost of a row
-_FLOAT_TYPES = (float, np.float64)
-
-
 def _write_csv(path, header, rows):
     with _out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12g}" if type(v) in _FLOAT_TYPES else v if isinstance(v, str) else fmt(v) for v in row])
+        writer.writerows([v if isinstance(v, str) else fmt(v) for v in row] for row in rows)
+
+
+def _write_trace(path, trace, chunk=2 ** 14):
+    """The energy trace as ``_write_csv`` writes rows of floats, which need no
+    quoting: one %-format of ``chunk`` rows at a time."""
+    with _out(path) as fh:
+        fh.write("t,E\n")
+        for i in range(0, trace.t.size, chunk):
+            cells = np.column_stack((trace.t[i:i + chunk], trace.E[i:i + chunk])).ravel().tolist()
+            fh.write("%.12g,%.12g\n" * (len(cells) // 2) % tuple(cells))
 
 
 def _write_json(path, payload):
@@ -252,7 +256,7 @@ def cmd_simulate(args) -> int:
         rate = pdesim.decay_rate(trace, t0, t1)
     except ValueError as exc:
         raise UsageError(f"{exc}; raise --T or lower --sample-every")
-    _write_csv(args.output, ["t", "E"], list(trace.samples))
+    _write_trace(args.output, trace)
     if args.dump_state:
         _write_json(args.dump_state, pdesim.state_dict(trace.final_state))
     fitted = None if rate == pdesim.EXTINCT else rate

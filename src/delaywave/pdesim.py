@@ -27,16 +27,16 @@ the wave round trip) and W reads itself M steps back (the delay), so a block
 of min(2N, M) steps runs in lag order as a few numpy ufuncs writing in place,
 on buffers of one state window plus ``_ROOM`` steps or four blocks, O(N + M).
 The energies of each span between two moves of the window are one
-``_energies`` call, the kernel that ``energy`` runs on one state.
+``_energies`` call, the kernel that ``energy`` runs on one state, and the
+trace is two float64 arrays, times and energies: no Python object a sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .chareq import DelayGains, Rational
 
@@ -161,13 +161,18 @@ class SimState:
 
 @dataclass(frozen=True)
 class EnergyTrace:
-    samples: Tuple[Tuple[float, float], ...]
+    """Energies ``E`` at times ``t``: read-only float64 arrays, 16 bytes a sample."""
+
+    t: np.ndarray
+    E: np.ndarray
     final_state: SimState
 
+    @property
+    def samples(self) -> Tuple[Tuple[float, float], ...]:
+        return tuple(zip(self.t.tolist(), self.E.tolist()))
+
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        t = np.array([s[0] for s in self.samples])
-        e = np.array([s[1] for s in self.samples])
-        return t, e
+        return self.t, self.E
 
 
 def init(config: SimConfig) -> SimState:
@@ -194,10 +199,10 @@ def energy(state: SimState) -> float:
 def _energies(P, Q, W, i0, count, stride, N, M) -> np.ndarray:
     """``energy`` of the ``count`` states whose windows of N + 1, N + 1 and
     M + 1 nodes start at positions i0, i0 + stride, ... of the contiguous
-    trace-order P, Q, W: read-only strided rows, each sum of squares a
-    one-row ``matmul`` (``np.dot``'s BLAS dot; ``np.vecdot`` needs numpy 2),
-    the endpoint terms in the scalar rule's operation order."""
-    p, q, w = (as_strided(a[i0:], (count, n + 1), (stride * a.itemsize, a.itemsize), writeable=False)
+    trace-order P, Q, W: strided row views, each sum of squares a one-row
+    ``matmul`` (``np.dot``'s BLAS dot; ``np.vecdot`` needs numpy 2), the
+    endpoint terms in the scalar rule's operation order."""
+    p, q, w = (np.ndarray((count, n + 1), a.dtype, a[i0:], 0, (stride * a.itemsize, a.itemsize))
                for a, n in ((P, N), (Q, N), (W, M)))
     pp, qq, ww = ((v[:, None, :] @ v[:, :, None])[:, 0, 0] for v in (p, q, w))
     ends = p[:, 0] * p[:, 0] + p[:, -1] * p[:, -1] + q[:, 0] * q[:, 0] + q[:, -1] * q[:, -1]
@@ -290,51 +295,44 @@ def _trace_blocks(config: SimConfig, steps: int):
 
 def simulate(config: SimConfig) -> EnergyTrace:
     """Run to t_final, sampling the energy every ``sample_every`` time units
-    by one ``_energies`` call per span of ``_trace_blocks``; raises
-    FloatingPointError at the first energy that overflowed."""
+    by one ``_energies`` call per span of ``_trace_blocks``, the spans joined
+    once; raises FloatingPointError at the first energy that overflowed."""
     N, M, dt = config.wave_cells, config.transport_cells, config.dt
     stride = int(round(config.sample_every / dt))
     steps = int(round(config.t_final / dt))
-    samples: List[Tuple[float, float]] = []
+    spans = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, P, Q, W in _trace_blocks(config, steps):
             at = range(-(-k // stride) * stride, k + P.size - N, stride)
-            E = _energies(P, Q, W, at.start - k, len(at), stride, N, M)
-            finite = np.isfinite(E)
-            if not finite.all():
-                t = at[finite.argmin()] * dt
-                raise FloatingPointError(f"energy at t = {t:g} is not finite: the state overflowed")
-            samples += zip([s * dt for s in at], E.tolist())
+            spans.append(_energies(P, Q, W, at.start - k, len(at), stride, N, M))
+    t, E = np.arange(0, steps + 1, stride) * dt, np.concatenate(spans)
+    finite = np.isfinite(E)
+    if not finite.all():
+        raise FloatingPointError(f"energy at t = {t[finite.argmin()]:g} is not finite: the state overflowed")
+    t.flags.writeable = E.flags.writeable = False
     final = SimState(P[-N - 1:], Q[-N - 1:][::-1], W[-M - 1:][::-1], steps, dt)
-    return EnergyTrace(tuple(samples), final)
+    return EnergyTrace(t, E, final)
 
 
 def state_dict(state: SimState) -> dict:
     """JSON-ready dump of a simulator state (node samples of p, q, w)."""
-    return {
-        "schema": 1,
-        "t": state.t,
-        "dt": state.dt,
-        "p": [float(v) for v in state.p],
-        "q": [float(v) for v in state.q],
-        "w": [float(v) for v in state.w],
-    }
+    return {"schema": 1, "t": state.t, "dt": state.dt,
+            "p": state.p.tolist(), "q": state.q.tolist(), "w": state.w.tolist()}
 
 
 def decay_rate(trace: EnergyTrace, t_start: float, t_end: float) -> float:
-    """Least-squares slope of log E over [t_start, t_end].
+    """Least-squares slope of log E over the samples with t_start <= t <= t_end.
 
     Returns the ``EXTINCT`` sentinel when any sampled energy in the window
     is zero (finite-time extinction outruns any exponential fit).
     """
-    window = [(t, e) for t, e in trace.samples if t_start <= t <= t_end]
-    if len(window) < 2:
+    inside = (t_start <= trace.t) & (trace.t <= t_end)
+    if np.count_nonzero(inside) < 2:
         raise ValueError(f"fit window [{t_start:g}, {t_end:g}] contains fewer than two samples")
-    if any(e == 0.0 for _, e in window):
+    E = trace.E[inside]
+    if not E.all():
         return EXTINCT
-    t = np.array([a for a, _ in window])
-    loge = np.log(np.array([b for _, b in window]))
-    return float(np.polyfit(t, loge, 1)[0])
+    return float(np.polyfit(trace.t[inside], np.log(E), 1)[0])
 
 
 def default_fit_window(rate_guess: float, t_final: float) -> Tuple[float, float]:
@@ -349,8 +347,6 @@ def boundary_trace_recursion(config: SimConfig):
     buffers."""
     N, M = config.wave_cells, config.transport_cells
     n_steps = int(round(config.t_final / config.dt))
-    P, W = [], []
-    for _, p, _, w in _trace_blocks(config, n_steps):
-        P.append(p[N:].copy())
-        W.append(w[:w.size - M].copy())
-    return np.arange(n_steps + 1) * config.dt, np.concatenate(P), np.concatenate(W)
+    spans = [(p[N:].copy(), w[:w.size - M].copy()) for _, p, _, w in _trace_blocks(config, n_steps)]
+    P, W = (np.concatenate(s) for s in zip(*spans))
+    return np.arange(n_steps + 1) * config.dt, P, W

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delaywave import regions
-from delaywave.chareq import CharKind, Rational, equal_gain_system
+from delaywave import cli, pdesim, regions
+from delaywave.chareq import CharKind, DelayGains, Rational, equal_gain_system
 from delaywave.cli import _write_csv, fmt, main
 from delaywave.contour import count_in_disk
 from delaywave.polyform import reduce_to_polynomial
@@ -298,6 +298,49 @@ class TestSimulate:
         assert code == 2 and "numerical failure: FloatingPointError: energy at t = " in err
         assert out == "" and not trace_path.exists() and not state_path.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--tau", "2/1", "--c1", "-0.5", "--c2", "-0.5", "--K", "20", "--T", "12"),  # extinct: exact zeros
+            ("--tau", "2/1", "--c1", "0", "--c2", "0", "--K", "20", "--T", "10", "--ic", "halfsine"),
+            ("--tau", "2/1", "--c1", "-0.25", "--c2", "-0.25", "--K", "10", "--T", "7.3", "--sample-every", "0.7"),
+            ("--tau", "41/20", "--c1", "-0.285584", "--c2", "-0.285584", "--K", "20", "--T", "60"),
+        ],
+    )
+    def test_trace_bytes_as_the_csv_module_writes_them(self, capsys, tmp_path, args):
+        opts = dict(zip(args[::2], args[1::2]))
+        config = pdesim.SimConfig(
+            Rational.from_string(opts["--tau"]), DelayGains(float(opts["--c1"]), float(opts["--c2"])),
+            int(opts["--K"]), float(opts["--T"]), pdesim.named_ic(opts.get("--ic", "mixed")),
+            float(opts.get("--sample-every", 1.0)),
+        )
+        ref = io.StringIO()
+        csv_rows(ref, ["t", "E"], pdesim.simulate(config).samples)
+        path = tmp_path / "energy.csv"
+        code, _, _ = run(capsys, "simulate", *args, "--output", str(path))
+        assert code == 0 and path.read_bytes() == ref.getvalue().encode()
+        code, out, _ = run(capsys, "simulate", *args, "--output", "-")
+        assert code == 0 and out == ref.getvalue()
+
+    def test_state_dump_bytes(self, capsys, tmp_path):
+        # golden: the final state of a 6-step run, each value at full precision
+        state_path = tmp_path / "state.json"
+        code, _, _ = run(
+            capsys, "simulate", "--tau", "3/2", "--c1", "0.2", "--c2", "-0.1", "--K", "1", "--T", "3",
+            "--output", str(tmp_path / "energy.csv"), "--dump-state", str(state_path),
+        )
+        assert code == 0
+        values = {
+            "p": [0.8403336491690194, 0.2880659099652245, 1.951129975963916],
+            "q": [-0.8403336491690194, 1.2107207345395916, 2.3132741228718343],
+            "w": [0.24943461963257935, 0.10720481468267751, 0.0993549869530897, -0.18107207345395918],
+        }
+        expect = '{\n  "dt": 0.5,\n'
+        for key in ("p", "q"):
+            expect += f'  "{key}": [\n' + ",\n".join(f"    {v!r}" for v in values[key]) + "\n  ],\n"
+        expect += '  "schema": 1,\n  "t": 3.0,\n  "w": [\n' + ",\n".join(f"    {v!r}" for v in values["w"]) + "\n  ]\n}\n"
+        assert state_path.read_text() == expect
+
     def test_unknown_ic_usage_error(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--tau", "2/1", "--c1", "0", "--c2", "0", "--ic", "wavey",
@@ -321,10 +364,29 @@ class TestCritical:
         assert code == 1
 
 
+def csv_rows(fh, header, rows):
+    """``rows`` as csv.writer writes them, each non-string cell as fmt gives it."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else fmt(v) for v in r] for r in rows)
+
+
 class TestWriteCsv:
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 2**14])
+    def test_trace_in_chunks(self, tmp_path, chunk):
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, 5e-324, 1e300, 1 / 3, 1e-5, 123456789012.5, math.nan, math.inf, -math.inf]
+        t = np.concatenate([special, rng.uniform(0, 1e4, 40)])
+        E = np.concatenate([special[::-1], rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)])
+        path = tmp_path / "trace.csv"
+        cli._write_trace(str(path), pdesim.EnergyTrace(t, E, None), chunk)
+        ref = io.StringIO()
+        csv_rows(ref, ["t", "E"], zip(t.tolist(), E.tolist()))
+        assert path.read_bytes() == ref.getvalue().encode()
+
     def test_cells_as_fmt_gives_them(self, tmp_path):
-        # a float skips fmt's isinstance chain, yet every row must come out
-        # byte for byte as fmt and csv.writer's quoting of strings give it
+        # every row comes out byte for byte as fmt and csv.writer's quoting
+        # of strings give it
         rng = np.random.default_rng(3)
         row = [
             None, True, False, np.bool_(True), np.bool_(False), 7, -(2**70), np.int64(-3),
@@ -337,10 +399,7 @@ class TestWriteCsv:
         path = tmp_path / "cells.csv"
         _write_csv(str(path), ["h"] * len(row), rows)
         ref = io.StringIO()
-        writer = csv.writer(ref, lineterminator="\n")
-        writer.writerow(["h"] * len(row))
-        for r in rows:
-            writer.writerow([fmt(v) if not isinstance(v, str) else v for v in r])
+        csv_rows(ref, ["h"] * len(row), rows)
         assert path.read_bytes() == ref.getvalue().encode()
 
 

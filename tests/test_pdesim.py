@@ -197,10 +197,80 @@ class TestStep:
         assert np.array_equal(s0.p, p0)
 
 
+class TestTraceArrays:
+    @pytest.mark.parametrize(
+        "m,n,c1,c2,K,T,every",
+        [(2, 1, -0.25, -0.25, 10, 7.3, 0.7), (41, 20, -0.25, -0.25, 2, 6.0, 1.0), (2, 1, -0.2, -0.2, 1, 0.4, 1.0)],
+    )
+    def test_read_only_float64(self, m, n, c1, c2, K, T, every):
+        cfg = config(m, n, c1, c2, K=K, T=T, sample_every=every)
+        trace = simulate(cfg)
+        stride = int(round(every / cfg.dt))
+        lattice = range(0, int(round(T / cfg.dt)) + 1, stride)
+        for a in (trace.t, trace.E):
+            assert a.dtype == np.float64 and a.ndim == 1 and a.size == len(lattice)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert trace.t.tolist() == [s * cfg.dt for s in lattice]
+        assert trace.samples == tuple(zip(trace.t.tolist(), trace.E.tolist()))
+        assert all(type(v) is float for pair in trace.samples for v in pair)
+        t, E = trace.arrays()
+        assert t is trace.t and E is trace.E
+
+    def test_memory_of_a_long_trace(self):
+        # 100,001 samples: two float64 arrays of 0.8 MB each, not 100,001 tuples
+        cfg = config(2, 1, -0.02, -0.02, K=100, T=1000.0, sample_every=0.01)
+        simulate(config(2, 1, -0.02, -0.02, K=100, T=1.0, sample_every=0.01))  # warm-up
+        tracemalloc.start()
+        try:
+            trace = simulate(cfg)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.E.size == 100001
+        assert retained < 2.5e6 and peak < 5e6
+
+
 # ---------------------------------------------------------------- decay rates
 
 
+def listed_rate(trace, t_start, t_end):
+    """``decay_rate`` as a fit over a list of ``(t, E)`` pairs."""
+    window = [(t, e) for t, e in trace.samples if t_start <= t <= t_end]
+    if len(window) < 2:
+        raise ValueError("fewer than two samples")
+    if any(e == 0.0 for _, e in window):
+        return EXTINCT
+    return float(np.polyfit(np.array([a for a, _ in window]), np.log(np.array([b for _, b in window])), 1)[0])
+
+
 class TestDecay:
+    @pytest.mark.parametrize(
+        "m,n,c,K,T,window",
+        [
+            (2, 1, -0.25, 40, 40.0, (10.0, 30.0)),
+            (4, 1, 0.25, 40, 40.0, (10.0, 40.0)),
+            (1, 1, 0.5, 40, 40.0, (10.0, 40.0)),
+            (2, 1, -0.25, 20, 40.0, (10.0, 40.0)),
+            (2, 1, -0.5, 20, 12.0, (8.0, 12.0)),
+            (2, 1, -0.25, 20, 12.0, (11.2, 11.8)),
+            (2, 1, -0.25, 20, 12.0, (2.5, 2.5)),
+            (2, 1, -0.25, 20, 12.0, (-1.0, 1e9)),
+        ],
+    )
+    def test_same_bits_as_a_list_fit(self, m, n, c, K, T, window):
+        trace = simulate(config(m, n, c, c, K=K, T=T))
+        try:
+            expect = listed_rate(trace, *window)
+        except ValueError:
+            with pytest.raises(ValueError, match="fewer than two samples"):
+                decay_rate(trace, *window)
+            return
+        got = decay_rate(trace, *window)
+        assert got == expect or (got, expect) == (EXTINCT, EXTINCT)
+        assert type(got) is float
+
     def test_rate_matches_abscissa_tau2(self):
         cfg = config(2, 1, -0.25, -0.25, K=40, T=40.0)
         trace = simulate(cfg)
