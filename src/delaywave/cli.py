@@ -126,13 +126,12 @@ def _write_csv(path, header, rows):
         writer.writerows([v if isinstance(v, str) else fmt(v) for v in row] for row in rows)
 
 
-def _write_trace(path, trace, chunk=2 ** 14):
-    """The energy trace as ``_write_csv`` writes rows of floats, which need no
-    quoting: one %-format of ``chunk`` rows at a time."""
+def _write_trace(path, trace):
+    """The trace as ``_write_csv`` writes rows of floats, unquoted: one %-format per 2^14 rows."""
     with _out(path) as fh:
         fh.write("t,E\n")
-        for i in range(0, trace.t.size, chunk):
-            cells = np.column_stack((trace.t[i:i + chunk], trace.E[i:i + chunk])).ravel().tolist()
+        for i in range(0, trace.t.size, 2 ** 14):
+            cells = np.column_stack((trace.t[i:i + 2 ** 14], trace.E[i:i + 2 ** 14])).ravel().tolist()
             fh.write("%.12g,%.12g\n" * (len(cells) // 2) % tuple(cells))
 
 

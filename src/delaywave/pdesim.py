@@ -171,9 +171,6 @@ class EnergyTrace:
     def samples(self) -> Tuple[Tuple[float, float], ...]:
         return tuple(zip(self.t.tolist(), self.E.tolist()))
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.t, self.E
-
 
 def init(config: SimConfig) -> SimState:
     xw = np.linspace(0.0, 1.0, config.wave_cells + 1)
@@ -304,11 +301,13 @@ def simulate(config: SimConfig) -> EnergyTrace:
     with np.errstate(over="ignore", invalid="ignore"):
         for k, P, Q, W in _trace_blocks(config, steps):
             at = range(-(-k // stride) * stride, k + P.size - N, stride)
-            spans.append(_energies(P, Q, W, at.start - k, len(at), stride, N, M))
+            E = _energies(P, Q, W, at.start - k, len(at), stride, N, M)
+            finite = np.isfinite(E)
+            if not finite.all():
+                t = at[finite.argmin()] * dt
+                raise FloatingPointError(f"energy at t = {t:g} is not finite: the state overflowed")
+            spans.append(E)
     t, E = np.arange(0, steps + 1, stride) * dt, np.concatenate(spans)
-    finite = np.isfinite(E)
-    if not finite.all():
-        raise FloatingPointError(f"energy at t = {t[finite.argmin()]:g} is not finite: the state overflowed")
     t.flags.writeable = E.flags.writeable = False
     final = SimState(P[-N - 1:], Q[-N - 1:][::-1], W[-M - 1:][::-1], steps, dt)
     return EnergyTrace(t, E, final)
@@ -347,6 +346,8 @@ def boundary_trace_recursion(config: SimConfig):
     buffers."""
     N, M = config.wave_cells, config.transport_cells
     n_steps = int(round(config.t_final / config.dt))
-    spans = [(p[N:].copy(), w[:w.size - M].copy()) for _, p, _, w in _trace_blocks(config, n_steps)]
-    P, W = (np.concatenate(s) for s in zip(*spans))
-    return np.arange(n_steps + 1) * config.dt, P, W
+    P, W = [], []
+    for _, p, _, w in _trace_blocks(config, n_steps):
+        P.append(p[N:].copy())
+        W.append(w[:w.size - M].copy())
+    return np.arange(n_steps + 1) * config.dt, np.concatenate(P), np.concatenate(W)

@@ -225,7 +225,7 @@ def test_10_spectrum_time_domain_consistency():
             rel = abs(rate - target) / abs(target)
             g.check(rel < 0.05, f"tau={m}/{n}, c={c}: rel gap {rel:.3%}")
         cons = SimConfig(Rational(2, 1), DelayGains(0.0, 0.0), 40, 20.0, named_ic("halfsine"))
-        _, E = simulate(cons).arrays()
+        E = simulate(cons).E
         g.check(np.abs(E - E[0]).max() < 1e-10, f"conservative drift {np.abs(E - E[0]).max():.2e}")
         ext = SimConfig(Rational(2, 1), DelayGains(-0.5, -0.5), 40, 10.0, named_ic("mixed"))
         late = [e for t, e in simulate(ext).samples if t >= 6.0]

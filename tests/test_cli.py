@@ -372,14 +372,18 @@ def csv_rows(fh, header, rows):
 
 
 class TestWriteCsv:
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 2**14])
-    def test_trace_in_chunks(self, tmp_path, chunk):
+    @pytest.mark.parametrize("extra", [0, 1, 7])
+    def test_trace_in_chunks(self, tmp_path, extra):
+        # one chunk and a few rows, the special cells at or across the chunk boundary
         rng = np.random.default_rng(5)
         special = [0.0, -0.0, 5e-324, 1e300, 1 / 3, 1e-5, 123456789012.5, math.nan, math.inf, -math.inf]
-        t = np.concatenate([special, rng.uniform(0, 1e4, 40)])
-        E = np.concatenate([special[::-1], rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)])
+        CHUNK = 2**14  # the rows _write_trace formats at a time
+        n = CHUNK + extra
+        at = min(CHUNK - 5, n - len(special))
+        t, E = rng.uniform(0, 1e4, n), rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        t[at:at + len(special)], E[at:at + len(special)] = special, special[::-1]
         path = tmp_path / "trace.csv"
-        cli._write_trace(str(path), pdesim.EnergyTrace(t, E, None), chunk)
+        cli._write_trace(str(path), pdesim.EnergyTrace(t, E, None))
         ref = io.StringIO()
         csv_rows(ref, ["t", "E"], zip(t.tolist(), E.tolist()))
         assert path.read_bytes() == ref.getvalue().encode()

@@ -163,8 +163,7 @@ class TestStep:
         # zero gains, zero delay line: pure reflection, energy exactly kept
         cfg = config(2, 1, 0.0, 0.0, K=40, T=20.0, ic="halfsine")
         trace = simulate(cfg)
-        _, E = trace.arrays()
-        assert np.abs(E - E[0]).max() < 1e-12
+        assert np.abs(trace.E - trace.E[0]).max() < 1e-12
 
     def test_extinction(self):
         cfg = config(2, 1, -0.5, -0.5, K=40, T=10.0)
@@ -215,8 +214,22 @@ class TestTraceArrays:
         assert trace.t.tolist() == [s * cfg.dt for s in lattice]
         assert trace.samples == tuple(zip(trace.t.tolist(), trace.E.tolist()))
         assert all(type(v) is float for pair in trace.samples for v in pair)
-        t, E = trace.arrays()
-        assert t is trace.t and E is trace.E
+
+    def test_overflow_stops_the_run(self, monkeypatch):
+        # unstable at 41/20: the energy passes 1e308 near t = 1773 of a
+        # 40-million-step horizon; the run stops within the span that overflowed
+        kernel, calls = pdesim._energies, []
+
+        def counting(P, Q, W, i0, count, stride, N, M):
+            calls.append(count)
+            return kernel(P, Q, W, i0, count, stride, N, M)
+
+        monkeypatch.setattr(pdesim, "_energies", counting)
+        cfg = config(41, 20, -0.25, -0.25, K=20, T=1e5)
+        with pytest.raises(FloatingPointError, match="energy at t = 1773 is not finite"):
+            simulate(cfg)
+        span = max(4 * min(2 * cfg.wave_cells, cfg.transport_cells), pdesim._ROOM) * cfg.dt
+        assert sum(calls) <= 1773 + span + 1
 
     def test_memory_of_a_long_trace(self):
         # 100,001 samples: two float64 arrays of 0.8 MB each, not 100,001 tuples
