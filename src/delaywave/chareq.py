@@ -103,8 +103,8 @@ class Rational:
 
 
 def _reproduces(rat: Rational, x: float) -> bool:
-    """Whether ``rat`` stands for the float ``x``: within 4 ulp of it."""
-    return abs(rat.value - x) <= 4.0 * math.ulp(max(1.0, abs(x)))
+    """Whether ``rat`` stands for the float ``x``: within 4 ulp of it, and 0 only for 0."""
+    return abs(rat.value - x) <= 4.0 * math.ulp(max(1.0, abs(x))) and (rat.num != 0 or x == 0)
 
 
 def rational_from_float(x: float) -> Optional[Rational]:
@@ -113,6 +113,7 @@ def rational_from_float(x: float) -> Optional[Rational]:
     Recovers values that genuinely are small fractions (decimal literals,
     convergents entered exactly); mere good approximations such as pi's
     convergents are rejected so that rationality stays an explicit choice.
+    A nonzero ``x`` never gives 0/1, which is within 4 ulp of every |x| below about 8.9e-16.
     """
     if not math.isfinite(x):
         return None
@@ -147,17 +148,18 @@ class CharKind(Enum):
 
 @dataclass(frozen=True)
 class DelaySystem:
-    """Closed-loop system parameters: gains and delay, one cascade loop for every gain pair."""
+    """Closed-loop system parameters: gains and a finite positive delay, with
+    optionally a positive fraction reproducing it; one cascade loop for every gain pair."""
 
     gains: DelayGains
     tau: float
     tau_rational: Optional[Rational] = None
 
     def __post_init__(self):
-        if not (self.tau > 0):
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and positive")
         if self.tau_rational is not None and not _reproduces(self.tau_rational, self.tau):
-            raise ValueError("tau_rational does not reproduce tau to 4 ulp")
+            raise ValueError("tau_rational is not a positive fraction reproducing tau to 4 ulp")
 
     @property
     def c1(self) -> float:
@@ -185,12 +187,11 @@ class ExpSum:
     """Finite sum  sum_j coef_j * exp(rate_j * lam)  of complex exponentials.
 
     A Python or NumPy scalar ``lam`` is summed term by term with ``cmath``
-    and returns a NumPy complex scalar; an array ``lam`` is evaluated
-    vectorised.  When some rate*Re(lam) exceeds ``_EXP_GUARD`` in size, the
-    sum at that point is rescaled by exp(-M) with M the largest real
-    exponent; the rescaling factor is real positive, so zeros, arguments
-    and winding numbers are unchanged.  An array whose max|Re lam| *
-    max|rate| stays within the guard is summed unscaled.
+    by :meth:`with_slope` and returns a NumPy complex scalar; an array ``lam``
+    is evaluated vectorised.  Every evaluation (and the derivative's) rescales
+    by :meth:`_shift`, the one rule: by exp(-M) at a point where some
+    rate*Re(lam) exceeds ``_EXP_GUARD`` in size, M the largest; the factor is
+    real positive, so zeros, arguments and winding numbers are unchanged.
     """
 
     coefs: tuple
@@ -205,15 +206,16 @@ class ExpSum:
         return cls(tuple(c for _, c in kept), tuple(a for a, _ in kept))
 
     def _shift(self, re):
-        """Rescaling exponent at the real part(s) ``re``: the largest
-        rate*re where its size exceeds the guard, else 0.  Rates are sorted,
-        so the largest sits at an end.  A plain 0.0 means no point needs it.
+        """Rescaling exponent at the real part(s) ``re`` (a float or an array):
+        the largest rate*re where its size exceeds the guard, else 0.  Rates
+        are sorted, so the largest sits at an end.  A plain 0.0 means no point needs it.
         """
         if not self.rates:
             return 0.0
         lo, hi = self.rates[0], self.rates[-1]
         if isinstance(re, float):
-            return _end_shift(lo, hi, re)
+            top = hi * re if re >= 0.0 else lo * re
+            return top if abs(top) > _EXP_GUARD else 0.0
         if np.max(np.abs(re), initial=0.0) * max(abs(lo), abs(hi)) <= _EXP_GUARD:
             return 0.0
         top = np.maximum(lo * re, hi * re)
@@ -221,12 +223,7 @@ class ExpSum:
 
     def __call__(self, lam):
         if isinstance(lam, (complex, float, int, np.number)):
-            lam = complex(lam)
-            shift = self._shift(lam.real)
-            total = 0j
-            for c, a in zip(self.coefs, self.rates):
-                total += c * cmath.exp(a * lam - shift)
-            return np.complex128(total)
+            return np.complex128(self.with_slope(lam)[0])
         lam = np.asarray(lam, dtype=complex)
         shift = self._shift(lam.real)
         out = np.zeros(lam.shape, dtype=complex)
@@ -253,39 +250,22 @@ class ExpSum:
         return sum(abs(c) * np.exp(a * re - shift) for c, a in zip(self.coefs, self.rates))
 
     def derivative(self) -> "ExpSum":
-        return ExpSum.of([(c * a, a) for c, a in zip(self.coefs, self.rates)])
+        """f' on the same rates, coefficients 0j + coef_j * rate_j (0 at rate 0, kept),
+        so that it is rescaled wherever and by as much as f."""
+        return ExpSum(tuple(0j + c * a for c, a in zip(self.coefs, self.rates)), self.rates)
 
     def with_slope(self, lam) -> tuple:
-        """``(f(lam), f'(lam))`` at a scalar ``lam`` from one set of exponentials.
-
-        Bit for bit ``(self(lam), self.derivative()(lam))``: f' sums the
-        nonzero coefficients 0j + coef_j * rate_j, as :meth:`derivative`
-        stores them, in rate order.  Where dropping a rate-0 end term changes
-        the derivative's rescaling (far from the imaginary axis), f' is the
-        derivative's own sum.
-        """
+        """``(f(lam), f'(lam))`` at a scalar ``lam``, both summed from one set
+        of exponentials at one rescaling: bit for bit ``(self(lam),
+        self.derivative()(lam))``, as the derivative shares the rates."""
         lam = complex(lam)
         shift = self._shift(lam.real)
         f = df = 0j
-        slope_rates = []
         for c, a in zip(self.coefs, self.rates):
             e = cmath.exp(a * lam - shift)
             f += c * e
-            ca = 0j + c * a
-            if ca != 0:
-                df += ca * e
-                slope_rates.append(a)
-        if slope_rates and _end_shift(slope_rates[0], slope_rates[-1], lam.real) != shift:
-            df = complex(self.derivative()(lam))
+            df += (0j + c * a) * e
         return f, df
-
-
-def _end_shift(lo, hi, re):
-    """Rescaling exponent at a scalar real part ``re`` of a sum whose sorted
-    rates run from ``lo`` to ``hi``: the largest rate*re where its size
-    exceeds the guard, else 0."""
-    top = hi * re if re >= 0.0 else lo * re
-    return top if abs(top) > _EXP_GUARD else 0.0
 
 
 def char_expsum(sys: DelaySystem) -> ExpSum:

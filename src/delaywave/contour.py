@@ -49,7 +49,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .chareq import _EXP_GUARD, DelaySystem, ExpSum, char_expsum, g_expsum
+from .chareq import DelaySystem, ExpSum, char_expsum, g_expsum
 from .polyform import disk_roots, reduce_to_polynomial
 
 __all__ = [
@@ -259,15 +259,14 @@ def _contacts(why, func, z, cid, w, m):
 
 def _size_bound(func, z):
     """A bound on the factor of ``_ZERO_TOL`` in the contact test over the
-    samples ``z``: 1 for a plain callable; for an :class:`ExpSum` unscaled
-    at every sample, max(1, magnitude) at the least or the greatest Re z,
-    whichever is larger, as a sum of exponentials of Re z is convex in it
-    (with a margin for rounding); else inf."""
+    samples ``z``: 1 for a plain callable; for an :class:`ExpSum`, inf where
+    :meth:`ExpSum._shift` rescales the least or the greatest Re z, else
+    max(1, magnitude) at the larger of the two (with a margin for rounding):
+    unscaled ends leave every sample unscaled, and the terms are convex in Re z."""
     if not isinstance(func, ExpSum):
         return 1.0
-    re = z.real
-    lo, hi = float(re.min()), float(re.max())
-    if max(abs(lo), abs(hi)) * max(map(abs, func.rates), default=0.0) > _EXP_GUARD:
+    lo, hi = float(z.real.min()), float(z.real.max())
+    if func._shift(lo) or func._shift(hi):
         return math.inf
     return (1.0 + 1e-9) * max(1.0, float(func.magnitude(lo)), float(func.magnitude(hi)))
 
@@ -520,9 +519,8 @@ def isolate_and_refine(sys: DelaySystem, rect: ComplexRect) -> List[RootRecord]:
     count can miss a double root next to an edge.
     """
     func = char_expsum(sys)
-    dfunc = func.derivative()
     k, rect = _winding_with_retries(func, rect)
-    out = _isolate(func, dfunc, rect, k)
+    out = _isolate(func, rect, k)
     out.sort(key=lambda r: (r.lam.imag, r.lam.real))
     return out
 
@@ -571,17 +569,19 @@ def _root_in(func, dfunc, rect, k) -> Optional[RootRecord]:
     return None
 
 
-def _isolate(func, dfunc, rect, k) -> List[RootRecord]:
+def _isolate(func, rect, k) -> List[RootRecord]:
     """The roots in ``rect`` (winding ``k``), by splitting level by level.
 
-    Each round first tries :func:`_root_in` on every new box, keeping the
-    root it certifies only if the box holds it, so that a double root is
-    reported once, then winds the slabs (see :func:`_slabs`) of every box
-    that must split in one batched pass.  A split whose slabs touch a root,
-    or whose counts do not add up to the box's, is retried at the next
-    fraction of ``_SPLIT_FRACS`` in the next batch.  The first failure met,
-    in level order with the lowest slab first, is raised.
+    Each round first tries :func:`_root_in` (on ``func`` and its derivative)
+    on every new box, keeping the root it certifies only if the box holds it,
+    so that a double root is reported once, then winds the slabs (see
+    :func:`_slabs`) of every box that must split in one batched pass.  A
+    split whose slabs touch a root, or whose counts do not add up to the
+    box's, is retried at the next fraction of ``_SPLIT_FRACS`` in the next
+    batch.  The first failure met, in level order with the lowest slab first,
+    is raised.
     """
+    dfunc = func.derivative()
     out: List[RootRecord] = []
     boxes = [(rect, k, 0)] if k else []  # (box, winding, depth)
     splits = []  # (box, winding, depth, index into _SPLIT_FRACS)
@@ -711,7 +711,7 @@ def _first_unstable_root(sys: DelaySystem, height: float, floor: float) -> tuple
             else:
                 rect = ComplexRect(*box[i])
                 w, rect = _winding_with_retries(func, rect) if i in lost else (kk[i], rect)
-                cands = [r.lam for r in _isolate(func, func.derivative(), rect, w) if r.lam.real >= floor]
+                cands = [r.lam for r in _isolate(func, rect, w) if r.lam.real >= floor]
                 lam = min(cands, key=lambda z: abs(z.imag), default=None)
             if lam is not None:
                 return lam

@@ -111,7 +111,8 @@ def named_ic(name: str) -> InitialCondition:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid and loop parameters.  dt = 1/(n*K); tau/dt = m*K cells exactly."""
+    """Grid and loop parameters, ``t_final`` finite and positive, ``sample_every`` a
+    finite positive multiple of dt.  dt = 1/(n*K); tau/dt = m*K cells exactly."""
 
     tau_rational: Rational
     gains: DelayGains
@@ -123,12 +124,12 @@ class SimConfig:
     def __post_init__(self):
         if self.cells_per_unit < 1:
             raise ValueError("cells_per_unit must be positive")
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not 0 < self.t_final < np.inf:
+            raise ValueError("t_final must be finite and positive")
         if self.tau_rational.num <= 0:
             raise ValueError("delay must be positive")
         stride = self.sample_every / self.dt
-        if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
+        if not np.isfinite(stride) or abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
             raise ValueError("sample_every must be a positive multiple of dt")
 
     @property

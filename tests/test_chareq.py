@@ -67,6 +67,20 @@ class TestRational:
         s = equal_gain_system(-0.3, 0.30000000000000004)
         assert s.tau_rational == Rational(3, 10) and s.tau == 0.30000000000000004
 
+    def test_tiny_positive_decimal_has_no_fraction(self):
+        # 0/1 lies within 4 ulp of 1 of every x below about 8.9e-16, but stands for 0 only
+        for x in (1e-16, 5e-324, 8.8e-16, -1e-16):
+            assert rational_from_float(x) is None
+        assert rational_from_float(0.0) == Rational(0, 1)
+        assert equal_gain_system(0.5, 1e-16).tau_rational is None
+
+    def test_tiny_delay_is_not_classified_as_delay_free(self):
+        # a positive delay near 0 destabilises c > 0; the rational analysis of 0/1 said STABLE
+        from delaywave.regions import classify
+
+        with pytest.warns(UserWarning), pytest.raises(ValueError):
+            classify(equal_gain_system(0.5, 1e-16))
+
 
 class TestDelaySystem:
     def test_validation(self):
@@ -74,6 +88,16 @@ class TestDelaySystem:
             DelaySystem(DelayGains(0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             DelaySystem(DelayGains(0.0, 0.0), 2.0, tau_rational=Rational(3, 1))
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, -math.inf])
+    def test_non_finite_delay(self, tau):
+        with pytest.raises(ValueError):
+            DelaySystem(DelayGains(0.2, 0.2), tau)
+
+    @pytest.mark.parametrize("rat", [Rational(0, 1), Rational(-1, 10**6)])
+    def test_fraction_must_be_positive(self, rat):
+        with pytest.raises(ValueError):
+            DelaySystem(DelayGains(0.5, 0.5), 1e-16, rat)
 
     def test_helpers(self):
         s = equal_gain_system(-0.3, 2.05)
@@ -221,16 +245,24 @@ class TestExpSumPaths:
         st.floats(min_value=0.1, max_value=5),
         st.tuples(_re_parts, st.floats(-60, 60)),
     )
-    # g - c at tau = 4 has rates 0, 2, 4: the derivative drops the rate-0 end and rescales on its own
+    # g - c at tau = 4 has rates 0, 2, 4: the derivative keeps the rate-0 end, at coefficient 0
     @example("equal gains", 0.3, 0.3, 4.0, (-400.0, 1.0))
     def test_with_slope_is_both_evaluations_bit_for_bit(self, family, c1, c2, tau, point):
-        # one set of exponentials serves f and f', also where their
-        # rescalings differ (a rate-0 end term, far left or right)
+        # one set of exponentials at one rescaling serves f and f', also with
+        # a rate-0 end term far left or right
         f = char_expsum(_system(family, c1, c2, tau))
         lam = complex(*point)
         for g in (f, f.derivative(), g_expsum(tau, c1)):
             got, want = g.with_slope(lam), (g(lam), g.derivative()(lam))
             assert [_bits(z) for z in got] == [_bits(z) for z in want]
+
+    def test_derivative_keeps_the_rates_and_the_rescaling(self):
+        # g - 0.3 at tau = 4: rates 0, 2, 4; the rate-0 term keeps coefficient 0j
+        f = g_expsum(4.0, 0.3)
+        d = f.derivative()
+        assert d.rates == f.rates == (0.0, 2.0, 4.0)
+        assert [_bits(z) for z in d.coefs] == [_bits(0j + c * a) for c, a in zip(f.coefs, f.rates)]
+        assert d._shift(-400.0) == f._shift(-400.0) == 0.0
 
     def test_scalar_path_under_overflow_trap(self):
         for family in _GAINS:

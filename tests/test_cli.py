@@ -470,6 +470,9 @@ class TestBadInput:
             ("region", "--tau", "2/1", "--treat-as-irrational"),
             ("region", "--tau", "2/1", "--treat-as-irrational", "--scan=-0.6:-0.4:0.1"),
             ("count", "--tau-real", "3.14159265358979", "--c", "0.5", "--disk"),
+            ("region", "--tau-real", "1e-16"),
+            ("region", "--tau-real", "1e-16", "--scan=-0.5:0.5:0.5"),
+            ("count", "--tau-real", "1e-16", "--c", "0.5", "--disk"),
             ("roots", "--tau-real", "2.5", "--treat-as-irrational", "--c1", "0", "--c2", "0", "--rect", "-1", "1", "0", "1"),
         ],
         ids=lambda argv: " ".join(argv),

@@ -445,6 +445,16 @@ class TestBatchedWinding:
         assert lazy == exact
         assert sorted(lazy[1]) == contacts
 
+    def test_size_bound_is_finite_where_no_end_is_rescaled(self):
+        # rates -3, -1, 1 over Re in [0, 250]: max|Re| max|rate| = 750 exceeds the
+        # guard, but the largest exponent, 250, does not, so nothing is rescaled
+        func = char_expsum(DelaySystem(DelayGains(0.3, -0.2), 2.0))
+        assert func.rates == (-3.0, -1.0, 1.0)
+        z = np.linspace(0.0, 250.0, 101) + 1j * np.linspace(-40.0, 40.0, 101)
+        bound = contour._size_bound(func, z)
+        assert math.isfinite(bound)
+        assert np.all(bound >= np.maximum(func.magnitude(z), 1.0))
+
     def test_one_call_per_pass_for_all_paths(self):
         # paths that settle at the first midpoint check cost one call, the
         # grid and its midpoints, however many paths there are

@@ -41,6 +41,11 @@ class TestConfigAndInit:
         with pytest.raises(ValueError):
             config(2, 1, 0.0, 0.0, K=3, sample_every=0.7)
 
+    @pytest.mark.parametrize("T, every", [(np.inf, 1.0), (np.nan, 1.0), (40.0, np.inf), (40.0, 1e308)])
+    def test_times_must_be_finite(self, T, every):
+        with pytest.raises(ValueError):
+            config(2, 1, 0.0, 0.0, T=T, sample_every=every)
+
     def test_ic_requires_pinned_endpoint(self):
         with pytest.raises(ValueError):
             InitialCondition(

@@ -31,7 +31,7 @@ def test_robustness_sweep_clean_run_exits_0():
 
 
 def test_region_scan_failed_gain_exits_1():
-    # a zero delay fails every gain ("tau must be positive"); the 2/1 rows are still written
+    # a zero delay fails every gain ("tau must be finite and positive"); the 2/1 rows are still written
     r = run_script("region_scan.py", "--taus", "2/1,0/1", "--lo", "-0.75", "--hi", "-0.25", "--step", "0.25")
     assert r.returncode == 1
     assert r.stdout.count("\n2/1,") == 3 and "0/1," not in r.stdout
